@@ -36,12 +36,7 @@ from .layer import (
     layer_forward,
     masked_softmax,
 )
-from .linalg import (
-    direct_causal_conv,
-    fft_causal_conv,
-    spectral_norm,
-    symmetric_eig,
-)
+from .linalg import fft_causal_conv, symmetric_eig
 from .model import (
     ModelParams,
     init_model_params,
@@ -69,7 +64,6 @@ from .tasks import (
     evaluate_model,
     load_dataset,
     save_dataset,
-    spectral_radius_estimate,
 )
 from .training import (
     BudgetSampler,
@@ -108,7 +102,6 @@ __all__ = [
     "build_basis",
     "build_dataset",
     "derive_seeds",
-    "direct_causal_conv",
     "evaluate_model",
     "fft_causal_conv",
     "find_collapse_boundary",
@@ -136,8 +129,6 @@ __all__ = [
     "save_checkpoint",
     "save_dataset",
     "save_training_checkpoint",
-    "spectral_norm",
-    "spectral_radius_estimate",
     "symmetric_eig",
     "training_cost_ratio",
 ]

@@ -224,7 +224,6 @@ def cmd_sweep(args) -> int:
     basis, _ = get_or_build_basis(
         model_cfg.seq_len, model_cfg.capacity, run.paths.cache_dir
     )
-    load_checkpoint(args.checkpoint, basis)
     budgets = (
         parse_budget_list(args.budgets) if args.budgets is not None
         else model_cfg.budget_set

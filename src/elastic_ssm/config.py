@@ -7,6 +7,7 @@ typo in a run file fails loudly before any compute happens.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any
 
@@ -64,9 +65,8 @@ class ModelConfig:
     """Architecture hyperparameters.
 
     ``capacity`` is the number of spectral channels the model owns; a
-    runtime budget selects a prefix of them.  ``gate_input`` records that
-    the gate reads the normalized (post pre-norm) layer input; it is part
-    of the config so serialized checkpoints are self-describing.
+    runtime budget selects a prefix of them.  The gate reads the normalized
+    (post pre-norm) layer input.
     """
 
     width: int = 256
@@ -83,12 +83,13 @@ class ModelConfig:
     head: str = "per-step"
     gate_enabled: bool = True
     truncation_mode: str = "masked"
-    gate_input: str = "normalized"
     gate_eps: float = 1e-6
     precision: str = "float64"
     seed: int = 0
 
     def __post_init__(self):
+        # a tuple keeps the config hashable (model.param_schema caches on it)
+        object.__setattr__(self, "budget_set", tuple(self.budget_set))
         _require(self.width >= 1, f"width must be >= 1, got {self.width}")
         _require(self.gate_hidden >= 1, f"gate_hidden must be >= 1, got {self.gate_hidden}")
         _require(self.depth >= 0, f"depth must be >= 0, got {self.depth}")
@@ -116,11 +117,6 @@ class ModelConfig:
             self.truncation_mode in TRUNCATION_MODES,
             f"truncation_mode must be one of {TRUNCATION_MODES}",
         )
-        _require(
-            self.gate_input == "normalized",
-            "gate_input supports only 'normalized' (the gate reads the "
-            "layer's post-norm input)",
-        )
         _require(self.gate_eps > 0, "gate_eps must be positive")
         _require(self.precision in PRECISIONS, f"precision must be one of {PRECISIONS}")
         if self.input_kind == "tokens":
@@ -136,6 +132,13 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, data: dict, where: str = "model") -> "ModelConfig":
+        # older run files and checkpoints carry the removed key gate_input,
+        # whose one legal value is what the gate does anyway
+        if isinstance(data, dict) and "gate_input" in data:
+            _require(data["gate_input"] == "normalized",
+                     f"{where}: gate_input supports only 'normalized'")
+            warnings.warn(f"{where}: ignoring the removed key 'gate_input'", stacklevel=2)
+            data = {k: v for k, v in data.items() if k != "gate_input"}
         return _from_dict(cls, data, where)
 
 

@@ -34,7 +34,6 @@ __all__ = [
     "LayerCache",
     "gate_logits",
     "gelu",
-    "gelu_grad",
     "layer_flop_count",
     "layer_forward",
     "masked_softmax",
@@ -42,21 +41,12 @@ __all__ = [
 ]
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
-_INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
     """Exact Gaussian-CDF GELU: x * Phi(x)."""
     x = np.asarray(x)
     return x * 0.5 * (1.0 + erf(x * _INV_SQRT2))
-
-
-def gelu_grad(x: np.ndarray) -> np.ndarray:
-    """d/dx [x * Phi(x)] = Phi(x) + x * phi(x)."""
-    x = np.asarray(x)
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-    pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
-    return cdf + x * pdf
 
 
 @dataclass
@@ -128,6 +118,13 @@ class LayerParams:
         return self.mixing.shape[1]
 
 
+def _gate_mlp(u: np.ndarray, g: GateParams):
+    """(pre-activation, hidden, logits) of the gate MLP on (..., d) input."""
+    pre = u @ g.w_in.T + g.b_in
+    hidden = gelu(pre)
+    return pre, hidden, hidden @ g.w_out.T + g.b_out
+
+
 def gate_logits(u, g: GateParams) -> np.ndarray:
     """Logits for every spectral channel: w_out @ GELU(w_in @ u + b_in) + b_out.
 
@@ -140,8 +137,7 @@ def gate_logits(u, g: GateParams) -> np.ndarray:
             f"gate expects width {g.w_in.shape[1]}, got input with "
             f"trailing dim {u.shape[-1]}"
         )
-    hidden = gelu(u @ g.w_in.T + g.b_in)
-    return hidden @ g.w_out.T + g.b_out
+    return _gate_mlp(u, g)[2]
 
 
 def rms_rescale(s, budget: int, eps: float) -> np.ndarray:
@@ -230,9 +226,8 @@ class LayerCache:
     pre: Optional[np.ndarray]  # (B, L, d_g) gate pre-activations
     hidden: Optional[np.ndarray]  # (B, L, d_g) gate hidden (post GELU)
     logits: Optional[np.ndarray]  # (B, L, capacity) gate logits
-    active_norm: Optional[np.ndarray]  # (B, L, 1) norm of rescaled prefix
     weights: np.ndarray  # (B, L, K) active mixture weights
-    weights_full: Optional[np.ndarray]  # (B, L, capacity), direct mode only
+    weights_full: Optional[np.ndarray]  # (B, L, capacity) gate output, zero past K when masked
     params: LayerParams = field(repr=False)
     basis: SpectralBasis = field(repr=False)
     squeeze: bool = False  # True when the caller passed a single sequence
@@ -294,27 +289,15 @@ def layer_forward(
     # spectral features for the active prefix only
     features = fft_causal_conv_bank(basis.scaled_filters[:budget], u)  # (B,K,L,d)
 
-    pre = hidden = logits = active_norm = weights_full = None
+    pre = hidden = logits = weights_full = None
     if gate_enabled:
-        pre = u @ p.gate.w_in.T + p.gate.b_in
-        hidden = gelu(pre)
-        logits = hidden @ p.gate.w_out.T + p.gate.b_out  # (B, L, capacity)
-        if truncation == "masked":
-            active = logits[..., :budget]
-            norm = np.linalg.norm(active, axis=-1, keepdims=True)
-            scaled = active * (math.sqrt(budget) / (norm + p.gate.eps))
-            peak = np.max(scaled, axis=-1, keepdims=True)
-            exp = np.exp(scaled - peak)
-            weights = exp / np.sum(exp, axis=-1, keepdims=True)  # (B, L, K)
-            active_norm = norm
-        else:
-            norm = np.linalg.norm(logits, axis=-1, keepdims=True)
-            scaled = logits * (math.sqrt(p.capacity) / (norm + p.gate.eps))
-            peak = np.max(scaled, axis=-1, keepdims=True)
-            exp = np.exp(scaled - peak)
-            weights_full = exp / np.sum(exp, axis=-1, keepdims=True)
-            weights = weights_full[..., :budget]
-            active_norm = norm
+        pre, hidden, logits = _gate_mlp(u, p.gate)  # logits: (B, L, capacity)
+        # masked: renormalize over the budget; direct: over every channel,
+        # then keep the first K weights without renormalizing
+        active = budget if truncation == "masked" else p.capacity
+        scaled = rms_rescale(logits, active, p.gate.eps)
+        weights_full = masked_softmax(scaled, active, p.capacity)
+        weights = weights_full[..., :budget]  # (B, L, K)
     else:
         weights = np.ones(u.shape[:2] + (budget,), dtype=u.dtype)
 
@@ -331,7 +314,6 @@ def layer_forward(
         pre=pre,
         hidden=hidden,
         logits=logits,
-        active_norm=active_norm,
         weights=weights,
         weights_full=weights_full,
         params=p,

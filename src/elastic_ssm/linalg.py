@@ -1,6 +1,6 @@
 """Dense linear-algebra kernels: symmetric eigendecomposition with a fixed
-sign convention, causal convolution (direct definition and FFT-accelerated),
-and a power-iteration operator-norm estimate.
+sign convention and FFT causal convolution (single filter, filter bank, and
+the bank's adjoint).
 
 Array conventions used throughout the package:
 
@@ -16,20 +16,15 @@ Causal convolution is defined as ``out[t] = sum_{tau=0..t} f[tau] * s[t-tau]``
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConvergenceError, StructuralError
 
 __all__ = [
-    "SpectralNormEstimate",
-    "direct_causal_conv",
     "fft_causal_conv",
     "fft_causal_conv_bank",
     "fft_causal_conv_bank_adjoint",
     "next_pow2",
-    "spectral_norm",
     "symmetric_eig",
 ]
 
@@ -118,33 +113,8 @@ def _check_conv_args(filt, signal) -> tuple[np.ndarray, np.ndarray]:
     return f, s
 
 
-def direct_causal_conv(filt, signal) -> np.ndarray:
-    """Causal convolution by the literal definitional sum (O(L^2)).
-
-    ``signal`` may be ``(L,)``, ``(L, d)``, or ``(B, L, d)``; feature columns
-    are convolved independently.  This is the reference semantics against
-    which the FFT path is validated.
-    """
-    f, s = _check_conv_args(filt, signal)
-    squeeze_to = s.ndim
-    if s.ndim == 1:
-        s = s[None, :, None]
-    elif s.ndim == 2:
-        s = s[None]
-    b, length, d = s.shape
-    out = np.zeros_like(s)
-    for t in range(length):
-        # out[:, t] = sum_{tau=0..t} f[tau] * s[:, t - tau]
-        out[:, t, :] = np.einsum("j,bjd->bd", f[: t + 1][::-1], s[:, : t + 1, :])
-    if squeeze_to == 1:
-        return out[0, :, 0]
-    if squeeze_to == 2:
-        return out[0]
-    return out
-
-
 def fft_causal_conv(filt, signal) -> np.ndarray:
-    """Causal convolution via FFT; equals :func:`direct_causal_conv`.
+    """Causal convolution via FFT.
 
     Both operands are zero-padded to the next power of two >= 2L-1, so the
     circular convolution theorem yields the exact linear convolution, then
@@ -224,53 +194,3 @@ def fft_causal_conv_bank_adjoint(filters, grad_features) -> np.ndarray:
     acc = np.fft.irfft(prod.sum(axis=1), n=n, axis=1)[:, :length, :]
     out = acc.astype(g.dtype, copy=False)
     return out if batched else out[0]
-
-
-# ---------------------------------------------------------------------------
-# operator norm
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SpectralNormEstimate:
-    """Largest-singular-value estimate from power iteration.
-
-    The estimate is a certified *lower* bound on the true operator 2-norm
-    (it is a Rayleigh quotient); ``converged`` reports whether successive
-    iterates stabilized to the requested tolerance.
-    """
-
-    value: float
-    converged: bool
-    iterations: int
-
-
-def spectral_norm(m, rtol: float = 1e-8, max_iter: int = 10_000) -> SpectralNormEstimate:
-    """Operator 2-norm (largest singular value) via power iteration on m^T m.
-
-    The starting vector is deterministic (the normalized vector of column
-    norms of ``m``), so repeated calls agree bitwise.
-    """
-    a = _as_float_array(m, "matrix").astype(np.float64)
-    if a.ndim != 2:
-        raise StructuralError(f"spectral_norm needs a 2-D matrix, got {a.shape}")
-    if a.size == 0:
-        return SpectralNormEstimate(0.0, True, 0)
-    col_norms = np.linalg.norm(a, axis=0)
-    total = np.linalg.norm(col_norms)
-    if total == 0.0:
-        return SpectralNormEstimate(0.0, True, 0)
-    v = col_norms / total
-    prev = 0.0
-    for it in range(1, max_iter + 1):
-        w = a.T @ (a @ v)
-        sigma_sq = float(v @ w)
-        norm_w = float(np.linalg.norm(w))
-        if norm_w == 0.0:
-            return SpectralNormEstimate(0.0, True, it)
-        value = float(np.sqrt(max(sigma_sq, 0.0)))
-        if abs(value - prev) <= rtol * max(value, np.finfo(np.float64).tiny):
-            return SpectralNormEstimate(value, True, it)
-        prev = value
-        v = w / norm_w
-    return SpectralNormEstimate(prev, False, max_iter)

@@ -5,16 +5,19 @@ real-valued inputs) -> depth x [u + layer(norm(u))] -> final norm ->
 linear readout (per timestep, or mean-pooled over time for sequence
 classification heads).
 
-Parameters live in plain dataclasses of numpy arrays.  ``flatten_params``
-fixes the declaration order used by the optimizer, the gradient set, and
-the checkpoint container ("ESSM" magic, versioned, canonical-JSON config,
-raw little-endian tensors, CRC32).
+Parameters live in plain dataclasses of numpy arrays.  ``param_schema`` is
+the one description of their layout: for every tensor its name, place in
+the dataclasses, shape, init rule and the rows a budgeted training step
+updates, in the declaration order used by initialization, the optimizer,
+the gradient set and the checkpoint container ("ESSM" magic, versioned,
+canonical-JSON config, raw little-endian tensors, CRC32).
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -29,13 +32,17 @@ __all__ = [
     "BlockParams",
     "ModelParams",
     "ModelCache",
+    "ParamSpec",
     "checkpoint_bytes",
     "flatten_params",
     "init_model_params",
     "layer_norm_forward",
+    "layer_param_arrays",
     "load_checkpoint",
     "model_forward",
     "param_order",
+    "param_schema",
+    "params_from_arrays",
     "rms_norm_forward",
     "save_checkpoint",
 ]
@@ -69,59 +76,138 @@ class ModelParams:
     readout_b: np.ndarray  # (out_dim,)
 
 
+@dataclass(frozen=True)
+class ParamSpec:
+    """One parameter tensor of the layout.
+
+    ``path`` locates the tensor inside :class:`ModelParams` (attribute names,
+    with an int indexing ``blocks``).  ``init`` is ("zeros",), ("ones",),
+    ("normal", std) or ("truncated-normal", std).  ``rows`` names which
+    leading rows a training step at budget K updates: "all", "budget" (rows
+    < K), "gate-out" or "gate-in" (see :meth:`active_rows`).
+    """
+
+    name: str
+    path: tuple
+    shape: tuple[int, ...]
+    init: tuple
+    rows: str = "all"
+
+    def active_rows(self, config: ModelConfig, budget: int) -> Optional[int]:
+        """Leading rows updated at ``budget``; None means the whole tensor."""
+        if self.rows == "all":
+            return None
+        if self.rows == "budget":
+            return budget
+        if not config.gate_enabled:
+            return 0  # a disabled gate is frozen
+        if self.rows == "gate-in":
+            return None
+        # gate-out: masked truncation reads rows < K, direct feeds every
+        # logit row into the full softmax
+        return budget if config.truncation_mode == "masked" else self.shape[0]
+
+
+_ZEROS, _ONES = ("zeros",), ("ones",)
+
+
+def _fan_in(n: int) -> tuple:
+    return ("truncated-normal", 1.0 / np.sqrt(n))
+
+
+@lru_cache(maxsize=128)
+def _block_schema(d: int, dg: int, cap: int) -> tuple[ParamSpec, ...]:
+    """One block's tensors, named and located relative to the block."""
+    layer, gate = ("layer",), ("layer", "gate")
+    mixing_init = ("normal", float(np.sqrt(1.0 / (d * cap))))
+    return (
+        ParamSpec("norm.gain", ("norm_gain",), (d,), _ONES),
+        ParamSpec("norm.bias", ("norm_bias",), (d,), _ZEROS),
+        ParamSpec("mixing", layer + ("mixing",), (cap, d, d), mixing_init, "budget"),
+        ParamSpec("skip", layer + ("skip",), (d, d), _ZEROS),
+        ParamSpec("gate.w_in", gate + ("w_in",), (dg, d), _fan_in(d), "gate-in"),
+        ParamSpec("gate.b_in", gate + ("b_in",), (dg,), _ZEROS, "gate-in"),
+        ParamSpec("gate.w_out", gate + ("w_out",), (cap, dg), _fan_in(dg), "gate-out"),
+        ParamSpec("gate.b_out", gate + ("b_out",), (cap,), _ZEROS, "gate-out"),
+    )
+
+
+@lru_cache(maxsize=128)
+def param_schema(config: ModelConfig) -> tuple[ParamSpec, ...]:
+    """The parameter layout: every tensor in declaration order.
+
+    Checkpoints, optimizer state, gradients and initialization all follow
+    this order; random draws happen in it too.  Mixing matrices start at
+    N(0, 1/(width*capacity)) so the summed spectral branch matches the skip
+    branch's scale; skip starts at zero; the gate uses truncated-normal
+    fan-in weights with zero output bias so initial mixture weights are
+    near-uniform (no channel starvation under budget dropout).
+    """
+    d = config.width
+    if config.input_kind == "tokens":
+        specs = [ParamSpec("embed.table", ("embed_table",), (config.vocab_size, d), _fan_in(d))]
+    else:
+        specs = [
+            ParamSpec("embed.w", ("embed_w",), (d, config.in_dim), _fan_in(config.in_dim)),
+            ParamSpec("embed.b", ("embed_b",), (d,), _ZEROS),
+        ]
+    block = _block_schema(d, config.gate_hidden, config.capacity)
+    for i in range(config.depth):
+        specs += [replace(s, name=f"block{i}.{s.name}", path=("blocks", i) + s.path)
+                  for s in block]
+    return tuple(specs) + (
+        ParamSpec("final.gain", ("final_gain",), (d,), _ONES),
+        ParamSpec("final.bias", ("final_bias",), (d,), _ZEROS),
+        ParamSpec("readout.w", ("readout_w",), (config.out_dim, d), _fan_in(d)),
+        ParamSpec("readout.b", ("readout_b",), (config.out_dim,), _ZEROS),
+    )
+
+
 def param_order(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
     """Declaration order of (name, shape) for every parameter tensor."""
-    d, dg, cap = config.width, config.gate_hidden, config.capacity
-    out: list[tuple[str, tuple[int, ...]]] = []
-    if config.input_kind == "tokens":
-        out.append(("embed.table", (config.vocab_size, d)))
-    else:
-        out.append(("embed.w", (d, config.in_dim)))
-        out.append(("embed.b", (d,)))
-    for i in range(config.depth):
-        out.append((f"block{i}.norm.gain", (d,)))
-        out.append((f"block{i}.norm.bias", (d,)))
-        out.append((f"block{i}.mixing", (cap, d, d)))
-        out.append((f"block{i}.skip", (d, d)))
-        out.append((f"block{i}.gate.w_in", (dg, d)))
-        out.append((f"block{i}.gate.b_in", (dg,)))
-        out.append((f"block{i}.gate.w_out", (cap, dg)))
-        out.append((f"block{i}.gate.b_out", (cap,)))
-    out.append(("final.gain", (d,)))
-    out.append(("final.bias", (d,)))
-    out.append(("readout.w", (config.out_dim, d)))
-    out.append(("readout.b", (config.out_dim,)))
-    return out
+    return [(s.name, s.shape) for s in param_schema(config)]
+
+
+def _lookup(obj, path: tuple):
+    for key in path:
+        obj = obj[key] if isinstance(key, int) else getattr(obj, key)
+    return obj
 
 
 def flatten_params(params: ModelParams, config: ModelConfig) -> list[tuple[str, np.ndarray]]:
     """(name, array) pairs in declaration order; arrays are live references."""
-    out: list[tuple[str, np.ndarray]] = []
-    if config.input_kind == "tokens":
-        out.append(("embed.table", params.embed_table))
-    else:
-        out.append(("embed.w", params.embed_w))
-        out.append(("embed.b", params.embed_b))
-    for i, block in enumerate(params.blocks):
-        out.append((f"block{i}.norm.gain", block.norm_gain))
-        out.append((f"block{i}.norm.bias", block.norm_bias))
-        out.append((f"block{i}.mixing", block.layer.mixing))
-        out.append((f"block{i}.skip", block.layer.skip))
-        out.append((f"block{i}.gate.w_in", block.layer.gate.w_in))
-        out.append((f"block{i}.gate.b_in", block.layer.gate.b_in))
-        out.append((f"block{i}.gate.w_out", block.layer.gate.w_out))
-        out.append((f"block{i}.gate.b_out", block.layer.gate.b_out))
-    out.append(("final.gain", params.final_gain))
-    out.append(("final.bias", params.final_bias))
-    out.append(("readout.w", params.readout_w))
-    out.append(("readout.b", params.readout_b))
-    expected = param_order(config)
-    got = [(name, arr.shape) for name, arr in out]
-    if got != expected:
+    schema = param_schema(config)
+    if len(params.blocks) != config.depth:
         raise StructuralError(
-            f"parameter structure does not match config: {got} vs {expected}"
+            f"params hold {len(params.blocks)} blocks, config depth {config.depth}"
         )
+    out = [(spec.name, _lookup(params, spec.path)) for spec in schema]
+    bad = [s.name for s, (_, arr) in zip(schema, out) if arr is None or arr.shape != s.shape]
+    if bad:
+        raise StructuralError(f"parameter structure does not match config at {bad}")
     return out
+
+
+def layer_param_arrays(layer: LayerParams) -> dict[str, np.ndarray]:
+    """One layer's tensors keyed by their names within a block (``mixing``,
+    ``gate.w_in``, ...), in declaration order; arrays are live references."""
+    block = _block_schema(layer.width, layer.gate.w_in.shape[0], layer.capacity)
+    return {s.name: _lookup(layer, s.path[1:]) for s in block if s.path[0] == "layer"}
+
+
+def params_from_arrays(arrays: dict[str, np.ndarray], config: ModelConfig) -> ModelParams:
+    """Assemble ModelParams around ``arrays`` (name -> array, no copies)."""
+    fields: dict[tuple, dict[str, np.ndarray]] = {}
+    for spec in param_schema(config):
+        fields.setdefault(spec.path[:-1], {})[spec.path[-1]] = arrays[spec.name]
+
+    def block(i: int) -> BlockParams:
+        gate = GateParams(**fields[("blocks", i, "layer", "gate")], eps=config.gate_eps)
+        layer = LayerParams(**fields[("blocks", i, "layer")], gate=gate)
+        return BlockParams(**fields[("blocks", i)], layer=layer)
+
+    top = {"embed_table": None, "embed_w": None, "embed_b": None, **fields[()]}
+    return ModelParams(**top, blocks=[block(i) for i in range(config.depth)])
 
 
 def _truncated_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray:
@@ -134,57 +220,26 @@ def _truncated_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray
     return x
 
 
+def _draw(rng: np.random.Generator, spec: ParamSpec) -> np.ndarray:
+    kind = spec.init[0]
+    if kind == "zeros":
+        return np.zeros(spec.shape)
+    if kind == "ones":
+        return np.ones(spec.shape)
+    if kind == "normal":
+        return rng.normal(0.0, spec.init[1], size=spec.shape)
+    return _truncated_normal(rng, spec.shape, spec.init[1])
+
+
 def init_model_params(config: ModelConfig) -> ModelParams:
-    """Deterministic initialization from config.seed.
-
-    Mixing matrices ~ N(0, 1/(width*capacity)) so the summed spectral
-    branch matches the skip branch's scale; skip starts at zero; the gate
-    uses truncated-normal fan-in weights with zero output bias so initial
-    mixture weights are near-uniform (no channel starvation under budget
-    dropout); embedding/readout are truncated-normal fan-in.
-    """
+    """Deterministic initialization from config.seed (rules in :func:`param_schema`)."""
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-    d, dg, cap = config.width, config.gate_hidden, config.capacity
     dtype = np.dtype(config.precision)
-
-    def cast(x):
-        return np.ascontiguousarray(x, dtype=dtype)
-
-    embed_table = embed_w = embed_b = None
-    if config.input_kind == "tokens":
-        embed_table = cast(_truncated_normal(rng, (config.vocab_size, d), 1.0 / np.sqrt(d)))
-    else:
-        embed_w = cast(_truncated_normal(rng, (d, config.in_dim), 1.0 / np.sqrt(config.in_dim)))
-        embed_b = cast(np.zeros(d))
-    blocks = []
-    mixing_std = float(np.sqrt(1.0 / (d * cap)))
-    for _ in range(config.depth):
-        mixing = cast(rng.normal(0.0, mixing_std, size=(cap, d, d)))
-        skip = cast(np.zeros((d, d)))
-        gate = GateParams(
-            w_in=cast(_truncated_normal(rng, (dg, d), 1.0 / np.sqrt(d))),
-            b_in=cast(np.zeros(dg)),
-            w_out=cast(_truncated_normal(rng, (cap, dg), 1.0 / np.sqrt(dg))),
-            b_out=cast(np.zeros(cap)),
-            eps=config.gate_eps,
-        )
-        blocks.append(
-            BlockParams(
-                norm_gain=cast(np.ones(d)),
-                norm_bias=cast(np.zeros(d)),
-                layer=LayerParams(mixing=mixing, skip=skip, gate=gate),
-            )
-        )
-    return ModelParams(
-        embed_table=embed_table,
-        embed_w=embed_w,
-        embed_b=embed_b,
-        blocks=blocks,
-        final_gain=cast(np.ones(d)),
-        final_bias=cast(np.zeros(d)),
-        readout_w=cast(_truncated_normal(rng, (config.out_dim, d), 1.0 / np.sqrt(d))),
-        readout_b=cast(np.zeros(config.out_dim)),
-    )
+    arrays = {
+        spec.name: np.ascontiguousarray(_draw(rng, spec), dtype=dtype)
+        for spec in param_schema(config)
+    }
+    return params_from_arrays(arrays, config)
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +440,8 @@ def checkpoint_span(data: bytes, what: str = "checkpoint") -> tuple[int, ModelCo
     config = ModelConfig.from_dict(cfg_doc, where=f"{what}.config")
     itemsize = np.dtype(config.precision).itemsize
     tensor_bytes = sum(
-        int(np.prod(shape, dtype=np.int64)) * itemsize
-        for _, shape in param_order(config)
+        int(np.prod(spec.shape, dtype=np.int64)) * itemsize
+        for spec in param_schema(config)
     )
     span = 12 + json_len + tensor_bytes + 4
     if span > len(data):
@@ -400,43 +455,10 @@ def params_from_checkpoint(data: bytes, what: str = "checkpoint") -> tuple[Model
     r = Reader(data[:span], CHECKPOINT_MAGIC, what=what)
     r.expect_version(CHECKPOINT_VERSION)
     r.json_block()
-    arrays: dict[str, np.ndarray] = {}
-    for name, shape in param_order(config):
-        arrays[name] = r.array(shape, config.precision)
+    arrays = {spec.name: r.array(spec.shape, config.precision)
+              for spec in param_schema(config)}
     r.expect_end()
-
-    def gate_for(i: int) -> GateParams:
-        return GateParams(
-            w_in=arrays[f"block{i}.gate.w_in"],
-            b_in=arrays[f"block{i}.gate.b_in"],
-            w_out=arrays[f"block{i}.gate.w_out"],
-            b_out=arrays[f"block{i}.gate.b_out"],
-            eps=config.gate_eps,
-        )
-
-    blocks = [
-        BlockParams(
-            norm_gain=arrays[f"block{i}.norm.gain"],
-            norm_bias=arrays[f"block{i}.norm.bias"],
-            layer=LayerParams(
-                mixing=arrays[f"block{i}.mixing"],
-                skip=arrays[f"block{i}.skip"],
-                gate=gate_for(i),
-            ),
-        )
-        for i in range(config.depth)
-    ]
-    params = ModelParams(
-        embed_table=arrays.get("embed.table"),
-        embed_w=arrays.get("embed.w"),
-        embed_b=arrays.get("embed.b"),
-        blocks=blocks,
-        final_gain=arrays["final.gain"],
-        final_bias=arrays["final.bias"],
-        readout_w=arrays["readout.w"],
-        readout_b=arrays["readout.b"],
-    )
-    return params, config
+    return params_from_arrays(arrays, config), config
 
 
 def load_checkpoint(

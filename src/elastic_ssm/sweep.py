@@ -24,7 +24,6 @@ from .basis import SpectralBasis
 from .config import ModelConfig, RunConfig
 from .errors import ConfigError, StructuralError
 from .layer import LayerParams, layer_flop_count, layer_forward
-from .linalg import spectral_norm
 from .model import ModelParams, params_fingerprint
 from .tasks import Dataset, evaluate_model
 from .training import run_training
@@ -196,13 +195,15 @@ def bibo_constant(p: LayerParams, basis: SpectralBasis) -> dict:
 
     constant = ||skip||_op + max_k sigma_k^(1/4) * ||M_k||_op * ||Phi_k||_1,
     with the filter 1-norm taken over the unscaled filters (the quarter
-    power enters as an explicit factor, not baked into the filter).
+    power enters as an explicit factor, not baked into the filter).  The
+    operator norms are exact (largest singular values), so the constant is
+    an upper bound.
     """
-    skip_term = spectral_norm(p.skip).value
+    skip_term = float(np.linalg.norm(p.skip, 2))
     quarter = basis.eigenvalues ** 0.25
     conv_terms = [
         quarter[k]
-        * spectral_norm(p.mixing[k]).value
+        * float(np.linalg.norm(p.mixing[k], 2))
         * float(np.sum(np.abs(basis.filters[k])))
         for k in range(p.capacity)
     ]

@@ -35,7 +35,6 @@ __all__ = [
     "load_dataset",
     "required_model_fields",
     "save_dataset",
-    "spectral_radius_estimate",
 ]
 
 DATASET_MAGIC = b"ESDS"
@@ -115,85 +114,6 @@ class Dataset:
 # ---------------------------------------------------------------------------
 
 
-def _krylov_radius_fit(matrix: np.ndarray, v: np.ndarray, max_order: int = 4):
-    """Try to read the dominant-eigenvalue modulus off a power iterate.
-
-    A converged iterate lives in the invariant subspace of the q largest-
-    modulus eigenvalues (q = 1 for a real dominant eigenvalue, 2 for a
-    conjugate pair, more for magnitude ties), where it satisfies a degree-q
-    linear recurrence A^q v = sum_j c_j A^j v.  Fit that recurrence for
-    q = 1..max_order; on a residual-verified fit, the radius is the largest
-    root modulus of x^q - sum_j c_j x^j.  Returns (radius, residual).
-    """
-    chain = [v / np.linalg.norm(v)]
-    ratios = []
-    for _ in range(max_order):
-        w = matrix @ chain[-1]
-        r = float(np.linalg.norm(w))
-        if r == 0.0:
-            return 0.0, 0.0
-        ratios.append(r)
-        chain.append(w / r)
-    best = (float(ratios[-1]), np.inf)
-    for q in range(1, max_order + 1):
-        u = np.stack(chain[:q], axis=1)  # (n, q)
-        target = chain[q]
-        gram = u.T @ u
-        rhs = u.T @ target
-        try:
-            coef = np.linalg.solve(gram + 1e-15 * np.eye(q), rhs)
-        except np.linalg.LinAlgError:
-            continue
-        residual = float(np.linalg.norm(target - u @ coef))
-        if residual < best[1]:
-            # undo the per-step normalizations: c_j = coef_j * prod(r_j..r_{q-1})
-            scale = np.array([np.prod(ratios[j:q]) for j in range(q)])
-            poly = np.concatenate(([1.0], -(coef * scale)[::-1]))
-            radius = float(np.max(np.abs(np.roots(poly))))
-            best = (radius, residual)
-        if residual <= 1e-11:
-            break
-    return best
-
-
-def spectral_radius_estimate(
-    matrix: np.ndarray,
-    max_iterations: int = 20_000,
-    check_every: int = 250,
-    seed: int = 0,
-) -> float:
-    """Power-iteration estimate of the spectral radius of a square matrix.
-
-    Runs the normalized power iteration, periodically attempting the
-    Krylov recurrence fit above; stops once the fit residual certifies
-    convergence.  Handles real dominant eigenvalues, rotating conjugate
-    pairs, and magnitude ties up to multiplicity four — everything a
-    random real matrix plausibly presents.
-    """
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise StructuralError(f"spectral radius needs a square matrix, got {matrix.shape}")
-    if not np.all(np.isfinite(matrix)):
-        raise StructuralError("spectral radius needs finite entries")
-    rng = np.random.default_rng(seed)
-    v = rng.normal(size=matrix.shape[0])
-    v /= np.linalg.norm(v)
-    best = (0.0, np.inf)
-    for _ in range(max_iterations // check_every):
-        for _ in range(check_every):
-            w = matrix @ v
-            r = float(np.linalg.norm(w))
-            if r == 0.0:
-                return 0.0
-            v = w / r
-        radius, residual = _krylov_radius_fit(matrix, v)
-        if residual < best[1]:
-            best = (radius, residual)
-        if residual <= 1e-11:
-            return radius
-    return best[0]
-
-
 def _teacher_targets(teacher: SyntheticLDS, inputs: np.ndarray) -> np.ndarray:
     """Teacher outputs via the convolution view of the recurrence.
 
@@ -219,8 +139,8 @@ def gen_lds_teacher(
 ) -> tuple[SyntheticLDS, Dataset]:
     """Draw a stable random teacher and a regression dataset it labels.
 
-    The transition matrix is rescaled once so its estimated spectral radius
-    equals ``rho_max``.  Inputs are iid standard normal sequences; targets
+    The transition matrix is rescaled once so its spectral radius equals
+    ``rho_max``.  Inputs are iid standard normal sequences; targets
     are exact teacher outputs.  ``n_samples`` training sequences are drawn,
     plus one eval sequence per eight (at least eight) from the same stream.
     """
@@ -230,7 +150,7 @@ def gen_lds_teacher(
         raise ConfigError(f"n_samples must be >= 1, got {n_samples}")
     rng = np.random.default_rng(seed)
     transition = rng.normal(size=(state_dim, state_dim))
-    radius = spectral_radius_estimate(transition, seed=seed)
+    radius = float(np.max(np.abs(np.linalg.eigvals(transition))))
     if radius > 0.0:
         transition = transition * (rho_max / radius)
     teacher = SyntheticLDS(

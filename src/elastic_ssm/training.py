@@ -33,7 +33,7 @@ from .model import (
     checkpoint_span,
     flatten_params,
     init_model_params,
-    param_order,
+    param_schema,
     params_from_checkpoint,
 )
 from .storage import Reader, Writer, atomic_write_bytes
@@ -206,38 +206,24 @@ class OptimizerState:
 
 
 def init_optimizer_state(config: ModelConfig) -> OptimizerState:
-    m, v, counts = {}, {}, {}
-    for name, shape in param_order(config):
-        m[name] = np.zeros(shape)
-        v[name] = np.zeros(shape)
-        counts[name] = np.zeros(shape[0], dtype=np.int64)
-    return OptimizerState(m=m, v=v, counts=counts)
+    schema = param_schema(config)
+    return OptimizerState(
+        m={s.name: np.zeros(s.shape) for s in schema},
+        v={s.name: np.zeros(s.shape) for s in schema},
+        counts={s.name: np.zeros(s.shape[0], dtype=np.int64) for s in schema},
+    )
 
 
 def step_mask_plan(config: ModelConfig, budget: int) -> dict[str, Optional[int]]:
     """How many leading-axis rows of each parameter are active this step.
 
     ``None`` means the whole tensor participates.  An integer k means only
-    rows [:k] receive gradient/moment/decay updates: mixing tensors are
-    active up to the sampled budget, gate output rows follow the gate's
-    truncation mode, and a disabled gate freezes all four gate tensors.
+    rows [:k] receive gradient/moment/decay updates, per each tensor's row
+    rule in ``model.param_schema``: mixing tensors are active up to the
+    sampled budget, gate output rows follow the gate's truncation mode, and
+    a disabled gate freezes all four gate tensors.
     """
-    plan: dict[str, Optional[int]] = {}
-    for name, shape in param_order(config):
-        if name.endswith(".mixing"):
-            plan[name] = budget
-        elif name.endswith((".gate.w_out", ".gate.b_out")):
-            if not config.gate_enabled:
-                plan[name] = 0
-            elif config.truncation_mode == "masked":
-                plan[name] = budget
-            else:  # direct: every logit row feeds the full softmax
-                plan[name] = shape[0]
-        elif name.endswith((".gate.w_in", ".gate.b_in")):
-            plan[name] = 0 if not config.gate_enabled else None
-        else:
-            plan[name] = None
-    return plan
+    return {s.name: s.active_rows(config, budget) for s in param_schema(config)}
 
 
 def adamw_step(
@@ -256,8 +242,6 @@ def adamw_step(
     moments, and counts untouched (decay included, unless
     ``train.decay_inactive`` asks for decay everywhere).
     """
-    if plan is None:
-        plan = {name: None for name, _ in param_order(config)}
     b1, b2, eps, wd = train.beta1, train.beta2, train.adam_eps, train.weight_decay
     for name, p in flatten_params(params, config):
         g = grads[name]
@@ -265,7 +249,7 @@ def adamw_step(
             raise StructuralError(
                 f"gradient shape {g.shape} != parameter shape {p.shape} for {name}"
             )
-        k = plan.get(name)
+        k = None if plan is None else plan.get(name)
         rows = slice(None) if k is None else slice(0, k)
         if train.decay_inactive and wd > 0:
             p -= lr_t * wd * p  # every row, ignoring the activity mask
@@ -338,10 +322,10 @@ def optimizer_block_bytes(state: OptimizerState, config: ModelConfig) -> bytes:
     w.u64(state.completed)
     w.u64(state.applied)
     w.u64(state.skipped)
-    for name, _ in param_order(config):
-        w.array(state.m[name], "float64")
-        w.array(state.v[name], "float64")
-        w.array(state.counts[name], "int64")
+    for spec in param_schema(config):
+        w.array(state.m[spec.name], "float64")
+        w.array(state.v[spec.name], "float64")
+        w.array(state.counts[spec.name], "int64")
     return w.finish()
 
 
@@ -350,10 +334,10 @@ def optimizer_state_from_block(data: bytes, config: ModelConfig) -> OptimizerSta
     r.expect_version(OPTIMIZER_VERSION)
     completed, applied, skipped = r.u64(), r.u64(), r.u64()
     m, v, counts = {}, {}, {}
-    for name, shape in param_order(config):
-        m[name] = r.array(shape, "float64")
-        v[name] = r.array(shape, "float64")
-        counts[name] = r.array((shape[0],), "int64")
+    for spec in param_schema(config):
+        m[spec.name] = r.array(spec.shape, "float64")
+        v[spec.name] = r.array(spec.shape, "float64")
+        counts[spec.name] = r.array(spec.shape[:1], "int64")
     r.expect_end()
     return OptimizerState(m=m, v=v, counts=counts, completed=completed,
                           applied=applied, skipped=skipped)
@@ -474,6 +458,7 @@ def run_training(
     window_losses: list[float] = []
     last = {"grad_norm": float("nan"), "lr": float("nan"), "loss": float("nan")}
     max_skips = train_cfg.max_skip_frac * train_cfg.steps
+    final_eval = None  # a cadence eval of the current parameters, if any
 
     end_step = train_cfg.steps
     if stop_after is not None:
@@ -518,8 +503,9 @@ def run_training(
         histogram[metrics["budget"]] = histogram.get(metrics["budget"], 0) + 1
         window_losses.append(metrics["loss"])
         last = metrics
+        final_eval = None  # the update just applied outdates any earlier eval
         if (step + 1) % train_cfg.eval_every == 0 or step + 1 == train_cfg.steps:
-            eval_report = evaluate_model(
+            final_eval = evaluate_model(
                 params, model_cfg, basis, dataset, budget=model_cfg.capacity,
             )
             log.emit({
@@ -528,7 +514,7 @@ def run_training(
                 "budget_histogram": {str(k): histogram[k] for k in sorted(histogram)},
                 "grad_norm": last["grad_norm"],
                 "lr": last["lr"],
-                "eval": eval_report,
+                "eval": final_eval,
                 "skipped": state.skipped,
             })
             window_losses = []
@@ -542,9 +528,10 @@ def run_training(
     if checkpoint_path is not None:
         save_training_checkpoint(checkpoint_path, params, model_cfg, state)
 
-    final_eval = evaluate_model(
-        params, model_cfg, basis, dataset, budget=model_cfg.capacity,
-    )
+    if final_eval is None:
+        final_eval = evaluate_model(
+            params, model_cfg, basis, dataset, budget=model_cfg.capacity,
+        )
     return {
         "params": params,
         "state": state,

@@ -14,6 +14,8 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
+from elastic_ssm.errors import StructuralError
+
 
 # ---------------------------------------------------------------------------
 # causal convolution, scalar loops
@@ -34,6 +36,38 @@ def scalar_causal_conv(filt, signal):
             for c in range(d):
                 out[t, c] += f[tau] * s[t - tau, c]
     return out[:, 0] if one_d else out
+
+
+def direct_causal_conv(filt, signal) -> np.ndarray:
+    """Causal convolution by the literal definitional sum (O(L^2)).
+
+    ``signal`` may be ``(L,)``, ``(L, d)``, or ``(B, L, d)``; feature columns
+    are convolved independently.  This is the reference semantics against
+    which the FFT path is validated.
+    """
+    f = np.asarray(filt, dtype=np.float64)
+    s = np.asarray(signal, dtype=np.float64)
+    if f.ndim != 1 or not 1 <= s.ndim <= 3:
+        raise StructuralError(f"need a 1-D filter and a 1-3-D signal, got {f.shape}, {s.shape}")
+    squeeze_to = s.ndim
+    if s.ndim == 1:
+        s = s[None, :, None]
+    elif s.ndim == 2:
+        s = s[None]
+    b, length, d = s.shape
+    if length != f.shape[0]:
+        raise StructuralError(
+            f"filter length {f.shape[0]} does not match signal length {length}"
+        )
+    out = np.zeros_like(s)
+    for t in range(length):
+        # out[:, t] = sum_{tau=0..t} f[tau] * s[:, t - tau]
+        out[:, t, :] = np.einsum("j,bjd->bd", f[: t + 1][::-1], s[:, : t + 1, :])
+    if squeeze_to == 1:
+        return out[0, :, 0]
+    if squeeze_to == 2:
+        return out[0]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -25,14 +25,14 @@ from elastic_ssm.layer import (
     masked_softmax,
     rms_rescale,
 )
-from elastic_ssm.linalg import direct_causal_conv, fft_causal_conv
+from elastic_ssm.linalg import fft_causal_conv
 from elastic_ssm.model import init_model_params
 from elastic_ssm.sweep import budget_sweep, model_bibo_audit, run_ablation
 from elastic_ssm.tasks import bpb_metric
 from elastic_ssm.training import BudgetSampler, derive_seeds, run_training
 
 from _frozen_spectra import REFERENCE_SPECTRA
-from oracles import naive_budgeted_layer
+from oracles import direct_causal_conv, naive_budgeted_layer
 
 GRID = (2, 3, 4, 6, 8, 12, 16, 24, 32)
 

@@ -24,7 +24,6 @@ class TestModelConfig:
         assert cfg.budget_set == DEFAULT_BUDGET_SET
         assert cfg.budget_set[-1] == cfg.capacity
         assert cfg.truncation_mode == "masked"
-        assert cfg.gate_input == "normalized"
         assert cfg.precision == "float64"
 
     def test_round_trip(self):
@@ -63,10 +62,23 @@ class TestModelConfig:
             {"head": "cls-token"},
             {"truncation_mode": "renorm"},
             {"precision": "float16"},
-            {"gate_input": "raw"},
         ):
             with pytest.raises(ConfigError):
                 ModelConfig(seq_len=32, capacity=8, budget_set=(2, 8), **kwargs)
+
+    def test_removed_gate_input_key_dropped_with_warning(self):
+        doc = {"seq_len": 32, "capacity": 8, "budget_set": [2, 8],
+               "gate_input": "normalized"}
+        with pytest.warns(UserWarning, match="gate_input"):
+            cfg = ModelConfig.from_dict(doc)
+        assert cfg == ModelConfig(seq_len=32, capacity=8, budget_set=(2, 8))
+        assert "gate_input" not in cfg.to_dict()
+
+    def test_removed_gate_input_key_other_value_rejected(self):
+        with pytest.raises(ConfigError, match="gate_input"):
+            ModelConfig.from_dict({"gate_input": "raw"})
+        with pytest.raises(TypeError):
+            ModelConfig(gate_input="normalized")
 
     def test_lists_coerced_to_tuples(self):
         cfg = ModelConfig.from_dict(

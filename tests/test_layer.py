@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from elastic_ssm.backprop import gelu_grad
 from elastic_ssm.basis import build_basis
 from elastic_ssm.errors import BudgetError, StructuralError
 from elastic_ssm.layer import (
@@ -12,7 +13,6 @@ from elastic_ssm.layer import (
     LayerParams,
     gate_logits,
     gelu,
-    gelu_grad,
     layer_flop_count,
     layer_forward,
     masked_softmax,

@@ -1,21 +1,19 @@
-"""Kernels: symmetric eigendecomposition, causal convolution, operator norm."""
+"""Kernels: symmetric eigendecomposition, causal convolution."""
 
 import numpy as np
 import pytest
 
 from elastic_ssm.errors import StructuralError
 from elastic_ssm.linalg import (
-    direct_causal_conv,
     fft_causal_conv,
     fft_causal_conv_bank,
     fft_causal_conv_bank_adjoint,
     next_pow2,
-    spectral_norm,
     symmetric_eig,
 )
 
 from _frozen_spectra import REFERENCE_SPECTRA
-from oracles import jacobi_singular_values, scalar_causal_conv
+from oracles import direct_causal_conv, scalar_causal_conv
 
 
 class TestSymmetricEig:
@@ -179,41 +177,6 @@ class TestFftCausalConv:
         lhs = float(np.sum(fwd * y))
         rhs = float(np.sum(x * fft_causal_conv_bank_adjoint(filters, y)))
         np.testing.assert_allclose(lhs, rhs, rtol=1e-10)
-
-
-class TestSpectralNorm:
-    def test_identity(self):
-        est = spectral_norm(np.eye(5))
-        assert est.converged
-        np.testing.assert_allclose(est.value, 1.0, atol=1e-12)
-
-    def test_diagonal_singular_values(self):
-        est = spectral_norm(np.diag([2.0, -5.0]))
-        np.testing.assert_allclose(est.value, 5.0, rtol=1e-10)
-
-    def test_matches_jacobi_svd_oracle(self):
-        rng = np.random.default_rng(9)
-        for _ in range(10):
-            a = rng.normal(size=(8, 8))
-            est = spectral_norm(a)
-            ref = jacobi_singular_values(a)[0]
-            assert est.converged
-            np.testing.assert_allclose(est.value, ref, rtol=1e-6)
-
-    def test_lower_bound_property(self):
-        rng = np.random.default_rng(10)
-        a = rng.normal(size=(12, 6))
-        est = spectral_norm(a)
-        ref = jacobi_singular_values(a)[0]
-        assert est.value <= ref * (1.0 + 1e-9)
-
-    def test_zero_matrix(self):
-        est = spectral_norm(np.zeros((4, 4)))
-        assert est.value == 0.0 and est.converged
-
-    def test_rejects_nan(self):
-        with pytest.raises(StructuralError):
-            spectral_norm(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 class TestNextPow2:

@@ -7,17 +7,22 @@ from elastic_ssm.basis import build_basis
 from elastic_ssm.config import ModelConfig
 from elastic_ssm.errors import ArtifactError, StructuralError
 from elastic_ssm.model import (
+    CHECKPOINT_MAGIC,
     checkpoint_bytes,
     flatten_params,
     init_model_params,
     layer_norm_forward,
+    layer_param_arrays,
     load_checkpoint,
     model_forward,
     param_order,
+    param_schema,
     params_fingerprint,
+    params_from_arrays,
     rms_norm_forward,
     save_checkpoint,
 )
+from elastic_ssm.storage import Writer
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +82,34 @@ class TestInit:
         assert np.abs(p.embed_table).max() <= 2.0 / np.sqrt(d) + 1e-12
         for block in p.blocks:
             assert np.abs(block.layer.gate.w_in).max() <= 2.0 / np.sqrt(d) + 1e-12
+
+    def test_fingerprints_frozen(self):
+        # CRCs of the initial parameters, recorded before the layout moved
+        # into param_schema: names, order, shapes and RNG draws are unchanged
+        tokens = small_config()
+        real = small_config(input_kind="real", in_dim=3, out_dim=2,
+                            norm_kind="rmsnorm", truncation_mode="direct")
+        assert params_fingerprint(init_model_params(tokens), tokens) == 3000790072
+        assert params_fingerprint(init_model_params(real), real) == 792496724
+
+    def test_params_from_arrays_wraps_without_copying(self):
+        cfg = small_config(input_kind="real", in_dim=2, out_dim=3)
+        arrays = {s.name: np.zeros(s.shape) for s in param_schema(cfg)}
+        params = params_from_arrays(arrays, cfg)
+        assert params.embed_table is None
+        flat = flatten_params(params, cfg)
+        assert [name for name, _ in flat] == list(arrays)
+        assert all(arr is arrays[name] for name, arr in flat)
+
+    def test_layer_param_arrays_use_block_names(self):
+        cfg = small_config()
+        params = init_model_params(cfg)
+        local = layer_param_arrays(params.blocks[1].layer)
+        named = dict(flatten_params(params, cfg))
+        assert list(local) == ["mixing", "skip", "gate.w_in", "gate.b_in",
+                               "gate.w_out", "gate.b_out"]
+        for name, arr in local.items():
+            assert arr is named[f"block1.{name}"]
 
     def test_float32_precision(self):
         cfg = small_config(precision="float32")
@@ -255,6 +288,22 @@ class TestCheckpoint:
         path.write_bytes(blob + b"OPTSTATE-PLACEHOLDER")
         p2, cfg2 = load_checkpoint(path)
         assert cfg2 == cfg
+
+    def test_blob_with_removed_gate_input_key_loads(self, tmp_path):
+        # the container as written while ModelConfig still had gate_input
+        cfg = small_config()
+        p = init_model_params(cfg)
+        w = Writer(CHECKPOINT_MAGIC)
+        w.u32(1)
+        w.json_block({**cfg.to_dict(), "gate_input": "normalized"})
+        for _, arr in flatten_params(p, cfg):
+            w.array(arr, cfg.precision)
+        path = tmp_path / "old.essm"
+        path.write_bytes(w.finish())
+        with pytest.warns(UserWarning, match="gate_input"):
+            p2, cfg2 = load_checkpoint(path)
+        assert cfg2 == cfg
+        assert params_fingerprint(p2, cfg2) == params_fingerprint(p, cfg)
 
     def test_fingerprint_detects_mutation(self):
         cfg = small_config()

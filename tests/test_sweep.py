@@ -31,6 +31,8 @@ from elastic_ssm.sweep import (
 from elastic_ssm.tasks import build_dataset
 from elastic_ssm.training import run_training
 
+from oracles import jacobi_singular_values
+
 
 def small_config(**kw):
     base = dict(
@@ -250,6 +252,24 @@ class TestBiboAudit:
         assert terms["conv_term"] == 0.0
         svals = np.linalg.svd(p.skip, compute_uv=False)
         assert terms["constant"] == pytest.approx(svals[0], rel=1e-9)
+
+    def test_operator_norms_match_jacobi_oracle(self):
+        """Skip and per-channel terms use exact largest singular values."""
+        cfg = small_config()
+        basis = build_basis(cfg.seq_len, cfg.capacity)
+        p = init_model_params(cfg).blocks[0].layer
+        rng = np.random.default_rng(9)
+        p.skip[:] = rng.normal(size=p.skip.shape)
+        p.mixing[:] = rng.normal(size=p.mixing.shape)
+        terms = bibo_constant(p, basis)
+        np.testing.assert_allclose(
+            terms["skip_term"], jacobi_singular_values(p.skip)[0], rtol=1e-10
+        )
+        for k, term in enumerate(terms["per_channel"]):
+            expected = (basis.eigenvalues[k] ** 0.25
+                        * jacobi_singular_values(p.mixing[k])[0]
+                        * np.sum(np.abs(basis.filters[k])))
+            np.testing.assert_allclose(term, expected, rtol=1e-10)
 
     def test_skip_only_equality_achievable(self):
         """With no spectral branch, a top-singular-vector input hits the bound."""

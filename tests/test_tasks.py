@@ -7,7 +7,7 @@ import pytest
 
 from elastic_ssm.basis import build_basis
 from elastic_ssm.config import ModelConfig, TaskSpec
-from elastic_ssm.errors import ArtifactError, ConfigError, NumericError, StructuralError
+from elastic_ssm.errors import ArtifactError, ConfigError, NumericError
 from elastic_ssm.model import init_model_params
 from elastic_ssm.tasks import (
     BYTE_EVAL_FRAC,
@@ -24,62 +24,9 @@ from elastic_ssm.tasks import (
     load_dataset,
     required_model_fields,
     save_dataset,
-    spectral_radius_estimate,
 )
 
 from oracles import recurrent_lds_unroll
-
-
-# ---------------------------------------------------------------------------
-# spectral radius estimation
-# ---------------------------------------------------------------------------
-
-
-class TestSpectralRadius:
-    def test_matches_dense_eigensolver(self):
-        rng = np.random.default_rng(7)
-        for trial in range(60):
-            n = int(rng.integers(2, 16))
-            a = rng.normal(size=(n, n)) / np.sqrt(n)
-            est = spectral_radius_estimate(a, seed=trial)
-            true = float(np.max(np.abs(np.linalg.eigvals(a))))
-            assert est == pytest.approx(true, rel=1e-8, abs=1e-10)
-
-    def test_rotation_pair(self):
-        # conjugate pair at modulus 0.9: growth ratios oscillate, the
-        # recurrence fit must still recover the shared modulus
-        c, s = math.cos(1.1), math.sin(1.1)
-        rot = 0.9 * np.array([[c, -s], [s, c]])
-        assert spectral_radius_estimate(rot) == pytest.approx(0.9, rel=1e-10)
-
-    def test_nilpotent_is_zero(self):
-        nil = np.zeros((3, 3))
-        nil[0, 1] = 5.0
-        nil[1, 2] = 3.0
-        assert spectral_radius_estimate(nil) == 0.0
-
-    def test_three_way_magnitude_tie(self):
-        # real eigenvalue and a conjugate pair sharing modulus 0.8
-        c, s = math.cos(0.7), math.sin(0.7)
-        block = np.zeros((3, 3))
-        block[0, 0] = 0.8
-        block[1:, 1:] = 0.8 * np.array([[c, -s], [s, c]])
-        q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))
-        assert spectral_radius_estimate(q @ block @ q.T) == pytest.approx(0.8, rel=1e-9)
-
-    def test_diagonal_exact(self):
-        a = np.diag([0.25, -0.6, 0.1])
-        assert spectral_radius_estimate(a) == pytest.approx(0.6, rel=1e-12)
-
-    def test_rejects_non_square(self):
-        with pytest.raises(StructuralError):
-            spectral_radius_estimate(np.zeros((2, 3)))
-
-    def test_rejects_non_finite(self):
-        a = np.eye(2)
-        a[0, 1] = np.nan
-        with pytest.raises(StructuralError):
-            spectral_radius_estimate(a)
 
 
 # ---------------------------------------------------------------------------

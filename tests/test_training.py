@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import elastic_ssm.training as training_module
 from elastic_ssm.basis import build_basis
 from elastic_ssm.config import ModelConfig, Paths, RunConfig, TaskSpec, TrainConfig
 from elastic_ssm.errors import ArtifactError, ConfigError, NumericError, StructuralError
@@ -16,7 +17,7 @@ from elastic_ssm.model import (
     params_fingerprint,
     save_checkpoint,
 )
-from elastic_ssm.tasks import Dataset, gen_copy_task
+from elastic_ssm.tasks import Dataset, evaluate_model, gen_copy_task
 from elastic_ssm.training import (
     BudgetSampler,
     adamw_step,
@@ -523,6 +524,18 @@ def copy_run(steps=40, seed=0, **train_kw):
     return RunConfig(model=model, train=train, task=task, paths=Paths())
 
 
+def count_evals(monkeypatch) -> list:
+    """Record every evaluate_model call run_training makes."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("budget"))
+        return evaluate_model(*args, **kwargs)
+
+    monkeypatch.setattr(training_module, "evaluate_model", counted)
+    return calls
+
+
 class TestRunTraining:
     def test_deterministic_trajectory(self, tmp_path):
         run = copy_run()
@@ -619,6 +632,33 @@ class TestRunTraining:
                               n_samples=8)
         with pytest.raises(ConfigError, match="seq_len"):
             run_training(run, dataset=wrong)
+
+    def test_final_eval_reuses_the_last_cadence_eval(self, monkeypatch):
+        calls = count_evals(monkeypatch)
+        run = copy_run(steps=20, eval_every=20)
+        result = run_training(run)
+        assert calls == [run.model.capacity]
+        assert result["final_eval"] == result["log"][-1]["eval"]
+
+    def test_stop_after_off_cadence_evaluates_afresh(self, tmp_path, monkeypatch):
+        calls = count_evals(monkeypatch)
+        run = copy_run(steps=20, eval_every=20)
+        paused = run_training(run, checkpoint_path=tmp_path / "ck.essm",
+                              stop_after=10)
+        assert paused["log"] == [] and len(calls) == 1
+        assert paused["final_eval"] == evaluate_model(
+            paused["params"], run.model, paused["basis"], paused["dataset"],
+            budget=run.model.capacity,
+        )
+
+    def test_resume_at_the_last_step_evaluates_afresh(self, tmp_path, monkeypatch):
+        run = copy_run(steps=20, eval_every=20)
+        ck = tmp_path / "ck.essm"
+        done = run_training(run, checkpoint_path=ck)
+        calls = count_evals(monkeypatch)
+        resumed = run_training(run, resume=ck)
+        assert resumed["log"] == [] and len(calls) == 1
+        assert resumed["final_eval"] == done["final_eval"]
 
     def test_stop_after_validation(self, tmp_path):
         run = copy_run(steps=20)
