@@ -427,21 +427,18 @@ def finite_diff_check(
     )
 
 
-def model_loss_fn(inputs, targets, config, basis, budget, mask=None, **forward_kwargs):
+def model_loss_fn(inputs, targets, config, basis, budget, mask=None):
     """Build a deterministic ``loss_fn(params)`` for gradcheck/training.
 
-    Dispatches on config.loss is not done here — the loss kind is an
-    explicit argument of the trainer; this helper picks cross-entropy for
-    integer targets and mean squared error otherwise, which matches every
-    task in the suite.
+    The loss follows the targets: cross-entropy for integer targets, mean
+    squared error otherwise, which is each task's ``Dataset.loss``
+    (``run_training`` checks that ``TrainConfig.loss`` names the same one).
     """
     targets = np.asarray(targets)
     use_ce = np.issubdtype(targets.dtype, np.integer)
 
     def loss_fn(params):
-        out, cache = model_forward(
-            inputs, params, config, basis, budget, **forward_kwargs
-        )
+        out, cache = model_forward(inputs, params, config, basis, budget)
         if cache.squeeze:
             out = out[None]
         if use_ce:

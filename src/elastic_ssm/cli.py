@@ -25,7 +25,7 @@ import numpy as np
 
 from .backprop import finite_diff_check, model_loss_fn
 from .basis import basis_cache_path, get_or_build_basis
-from .config import ModelConfig, RunConfig, TaskSpec, TrainConfig
+from .config import DEFAULT_BUDGET_SET, ModelConfig, RunConfig, TaskSpec, TrainConfig
 from .errors import ArtifactError, AuditError, ConfigError, EssmError, exit_code_for
 from .model import init_model_params, load_checkpoint
 from .sweep import (
@@ -270,10 +270,9 @@ def _model_config_from_flags(args, **overrides) -> ModelConfig:
         seed=args.seed,
     )
     kw.update(overrides)
-    budget_set = tuple(
-        k for k in (2, 3, 4, 6, 8, 12, 16, 24, 32) if k <= kw["capacity"]
+    kw.setdefault(
+        "budget_set", tuple(k for k in DEFAULT_BUDGET_SET if k <= kw["capacity"])
     )
-    kw.setdefault("budget_set", budget_set)
     return ModelConfig(**kw)
 
 

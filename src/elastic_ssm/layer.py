@@ -11,8 +11,8 @@ RMS rescale of the first K logits (sqrt(K) / (norm + eps)), then a masked
 softmax that assigns exactly zero to channels beyond the budget.
 
 Everything works on a single ``(L, d)`` sequence or a batch ``(B, L, d)``;
-outputs match the input's layout.  Budgets of 1 are rejected at this API
-(the math itself supports K=1 through a private flag used by unit tests).
+outputs match the input's layout.  Budgets of 1 are rejected: the supported
+budget grid starts at 2.
 """
 
 from __future__ import annotations
@@ -234,18 +234,17 @@ class LayerCache:
     flops: int = 0
 
 
-def _check_budget(budget: int, capacity: int, allow_k1: bool) -> None:
+def _check_budget(budget: int, capacity: int) -> None:
     if not isinstance(budget, (int, np.integer)):
         raise BudgetError(f"budget must be an integer, got {budget!r}")
-    low = 1 if allow_k1 else 2
-    if budget < low or budget > capacity:
+    if budget < 2 or budget > capacity:
         if budget == 1:
             raise BudgetError(
                 "budget 1 is excluded from the public API (single-channel "
                 "inference is not part of the supported budget grid)"
             )
         raise BudgetError(
-            f"budget {budget} outside [{low}, capacity={capacity}]"
+            f"budget {budget} outside [2, capacity={capacity}]"
         )
 
 
@@ -256,7 +255,6 @@ def layer_forward(
     budget: int,
     gate_enabled: bool = True,
     truncation: str = "masked",
-    _allow_k1: bool = False,
 ) -> tuple[np.ndarray, LayerCache]:
     """Run the budgeted layer; returns (output, cache).
 
@@ -284,7 +282,7 @@ def layer_forward(
         raise StructuralError(f"params width {p.width}, input width {width}")
     if truncation not in ("masked", "direct"):
         raise StructuralError(f"unknown truncation mode {truncation!r}")
-    _check_budget(budget, p.capacity, _allow_k1)
+    _check_budget(budget, p.capacity)
 
     # spectral features for the active prefix only
     features = fft_causal_conv_bank(basis.scaled_filters[:budget], u)  # (B,K,L,d)

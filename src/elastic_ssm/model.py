@@ -303,19 +303,18 @@ def model_forward(
     config: ModelConfig,
     basis: SpectralBasis,
     budget: int,
-    gate_enabled: bool | None = None,
-    truncation: str | None = None,
-    _allow_k1: bool = False,
 ) -> tuple[np.ndarray, ModelCache]:
     """Forward pass at a runtime budget; returns (outputs, cache).
+
+    The budget is the only runtime input; the gate and truncation mode are
+    ``config.gate_enabled`` and ``config.truncation_mode``.  Run another mode
+    with ``dataclasses.replace(config, truncation_mode="direct")``.
 
     Token tasks take integer arrays (L,) or (B, L); real-valued tasks take
     (L, in_dim) or (B, L, in_dim).  Output is (B, L, out_dim) for per-step
     heads or (B, out_dim) for mean-pool heads (leading axis dropped when a
     single sequence was passed).
     """
-    gate_enabled = config.gate_enabled if gate_enabled is None else gate_enabled
-    truncation = config.truncation_mode if truncation is None else truncation
     inputs = np.asarray(inputs)
     if basis.seq_len != config.seq_len or basis.capacity != config.capacity:
         raise StructuralError(
@@ -360,7 +359,7 @@ def model_forward(
         normed, ncache = norm_forward(config.norm_kind, x, block.norm_gain, block.norm_bias)
         y, lcache = layer_forward(
             normed, block.layer, basis, budget,
-            gate_enabled=gate_enabled, truncation=truncation, _allow_k1=_allow_k1,
+            gate_enabled=config.gate_enabled, truncation=config.truncation_mode,
         )
         flops += lcache.flops
         norm_caches.append(ncache)
@@ -449,16 +448,18 @@ def checkpoint_span(data: bytes, what: str = "checkpoint") -> tuple[int, ModelCo
     return span, config
 
 
-def params_from_checkpoint(data: bytes, what: str = "checkpoint") -> tuple[ModelParams, ModelConfig]:
-    """Decode one "ESSM" container (exact span) into params + config."""
+def params_from_checkpoint(data: bytes, what: str = "checkpoint") -> tuple[ModelParams, ModelConfig, int]:
+    """Decode the "ESSM" container that starts ``data`` into (params, config,
+    span); any appended block begins at ``span``.  The CRC is checked before
+    any tensor is read."""
     span, config = checkpoint_span(data, what)
-    r = Reader(data[:span], CHECKPOINT_MAGIC, what=what)
+    r = Reader(memoryview(data)[:span], CHECKPOINT_MAGIC, what=what)
     r.expect_version(CHECKPOINT_VERSION)
     r.json_block()
     arrays = {spec.name: r.array(spec.shape, config.precision)
               for spec in param_schema(config)}
     r.expect_end()
-    return params_from_arrays(arrays, config), config
+    return params_from_arrays(arrays, config), config, span
 
 
 def load_checkpoint(
@@ -473,7 +474,7 @@ def load_checkpoint(
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    params, config = params_from_checkpoint(data, what=f"checkpoint {os.fspath(path)!r}")
+    params, config, _ = params_from_checkpoint(data, what=f"checkpoint {os.fspath(path)!r}")
     if basis is not None and (
         basis.seq_len != config.seq_len or basis.capacity != config.capacity
     ):

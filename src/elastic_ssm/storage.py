@@ -80,10 +80,6 @@ class Writer:
         self._parts.append(struct.pack("<Q", value))
         return self
 
-    def f64(self, value: float) -> "Writer":
-        self._parts.append(struct.pack("<d", value))
-        return self
-
     def raw(self, data: bytes) -> "Writer":
         self._parts.append(data)
         return self
@@ -108,15 +104,17 @@ class Writer:
 
 
 class Reader:
-    """Sequential reader with magic/version/CRC validation."""
+    """Sequential reader with magic/version/CRC validation, over a
+    ``memoryview`` of ``data``: only :meth:`array` copies, once per tensor."""
 
-    def __init__(self, data: bytes, magic: bytes, what: str = "artifact"):
+    def __init__(self, data: bytes | memoryview, magic: bytes, what: str = "artifact"):
         self._what = what
+        data = memoryview(data)
         if len(data) < 8:
             raise ArtifactError(f"{what}: file truncated ({len(data)} bytes)")
         if data[:4] != magic:
             raise ArtifactError(
-                f"{what}: bad magic {data[:4]!r}, expected {magic!r}"
+                f"{what}: bad magic {bytes(data[:4])!r}, expected {magic!r}"
             )
         body, tail = data[4:-4], data[-4:]
         (stored,) = struct.unpack("<I", tail)
@@ -129,7 +127,7 @@ class Reader:
         self._buf = body
         self._pos = 0
 
-    def _take(self, n: int) -> bytes:
+    def _take(self, n: int) -> memoryview:
         if self._pos + n > len(self._buf):
             raise ArtifactError(
                 f"{self._what}: truncated payload (wanted {n} bytes at offset "
@@ -148,14 +146,11 @@ class Reader:
     def u64(self) -> int:
         return struct.unpack("<Q", self._take(8))[0]
 
-    def f64(self) -> float:
-        return struct.unpack("<d", self._take(8))[0]
-
     def json_block(self) -> Any:
         n = self.u32()
         blob = self._take(n)
         try:
-            return json.loads(blob.decode("utf-8"))
+            return json.loads(str(blob, "utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ArtifactError(f"{self._what}: corrupt JSON block: {exc}") from exc
 

@@ -11,7 +11,6 @@ guarantee and accounts FLOPs with an exactly budget-affine formula.
 
 from __future__ import annotations
 
-import copy
 import io
 import math
 import os
@@ -135,14 +134,14 @@ def budget_sweep(
     budgets: Optional[Sequence[int]] = None,
     split: str = "eval",
     batch_size: int = 64,
-    gate_enabled: Optional[bool] = None,
-    truncation: Optional[str] = None,
 ) -> SweepReport:
     """Evaluate one checkpoint at every budget; derive the retention curve.
 
     Budgets must include full capacity (retention is relative to it).  The
     checkpoint is read-only: a parameter fingerprint is checked before and
-    after the sweep.
+    after the sweep.  The model runs in its config's gate and truncation
+    mode; sweep another mode with a replaced config, e.g.
+    ``dataclasses.replace(config, truncation_mode="direct")``.
     """
     if budgets is None:
         budgets = config.budget_set
@@ -158,8 +157,7 @@ def budget_sweep(
     results = {
         k: evaluate_model(
             params, config, basis, dataset, budget=k, split=split,
-            batch_size=batch_size, gate_enabled=gate_enabled,
-            truncation=truncation,
+            batch_size=batch_size,
         )
         for k in budgets
     }
@@ -290,12 +288,13 @@ def model_bibo_audit(
     budgets: Optional[Sequence[int]] = None,
     seed: int = 0,
 ) -> dict:
-    """Per-block audit of a whole model's layers; passes iff every block does."""
+    """Per-block audit of a whole model's layers, in the config's truncation
+    mode; passes iff every block does."""
     blocks = []
     for i, block in enumerate(params.blocks):
         report = bibo_audit(
             block.layer, basis, n_trials=n_trials, input_bound=input_bound,
-            budgets=budgets, seed=seed + i,
+            budgets=budgets, seed=seed + i, truncation=config.truncation_mode,
         )
         report["block"] = i
         blocks.append(report)
@@ -383,63 +382,26 @@ def variant_run(base: RunConfig, variant: VariantSpec) -> RunConfig:
     return RunConfig(model=model, train=train, task=base.task, paths=base.paths)
 
 
-def _recipe_fingerprint(run: RunConfig) -> dict:
-    """The run document with the three ablation toggles normalized away."""
-    doc = copy.deepcopy(run.to_dict())
-    doc["model"]["gate_enabled"] = None
-    doc["model"]["truncation_mode"] = None
-    doc["train"]["budget_dropout"] = None
-    return doc
-
-
 def run_ablation(
     base: RunConfig,
     variants: Sequence[VariantSpec] = DEFAULT_VARIANTS,
     budgets: Optional[Sequence[int]] = None,
-    runs: Optional[Sequence[RunConfig]] = None,
-    include_direct_reeval: bool = True,
     out_dir: str | os.PathLike | None = None,
 ) -> dict:
     """Train every variant under one recipe and sweep each across budgets.
 
     All variants share the data, seeds, and optimization recipe; they
     differ only in the gate flag, the budget-dropout flag, and the
-    truncation mode.  Supplying explicit per-variant ``runs`` is allowed
-    for resuming orchestration, but they must equal the base recipe up to
-    those three toggles.  When the grid contains a gated budget-dropout
-    variant, its checkpoint is additionally re-evaluated under
-    direct-prefix truncation (no extra training) to isolate the masked
-    softmax's renormalization.
+    truncation mode (:func:`variant_run`).  A gated budget-dropout
+    variant's checkpoint is additionally swept under direct-prefix
+    truncation (no extra training) to isolate the masked softmax's
+    renormalization.
     """
-    if runs is None:
-        runs = [variant_run(base, v) for v in variants]
-    else:
-        runs = list(runs)
-        if len(runs) != len(variants):
-            raise ConfigError(
-                f"{len(variants)} variants but {len(runs)} run configs"
-            )
-        base_doc = _recipe_fingerprint(base)
-        for v, r in zip(variants, runs):
-            if _recipe_fingerprint(r) != base_doc:
-                raise ConfigError(
-                    f"variant {v.name!r} run config differs from the base "
-                    "recipe beyond the gate/dropout/truncation toggles"
-                )
-            if (
-                r.model.gate_enabled != v.gate_enabled
-                or r.model.truncation_mode != v.truncation_mode
-                or r.train.budget_dropout != v.budget_dropout
-            ):
-                raise ConfigError(
-                    f"variant {v.name!r} run config toggles disagree with "
-                    "its VariantSpec"
-                )
-
     rows = []
     reeval_rows = []
     shared_dataset = None
-    for variant, run in zip(variants, runs):
+    for variant in variants:
+        run = variant_run(base, variant)
         ck = None
         if out_dir is not None:
             ck = os.path.join(os.fspath(out_dir), f"{variant.name}.essm")
@@ -460,14 +422,13 @@ def run_ablation(
             "final_eval": result["final_eval"],
         })
         if (
-            include_direct_reeval
-            and variant.gate_enabled
+            variant.gate_enabled
             and variant.budget_dropout
             and variant.truncation == "masked-softmax"
         ):
             direct_report = budget_sweep(
-                result["params"], run.model, result["basis"], shared_dataset,
-                budgets=budgets, truncation="direct",
+                result["params"], replace(run.model, truncation_mode="direct"),
+                result["basis"], shared_dataset, budgets=budgets,
             )
             reeval_rows.append({
                 "name": f"{variant.name}@direct-prefix",

@@ -367,13 +367,12 @@ def evaluate_model(
     budget: int,
     split: str = "eval",
     batch_size: int = 64,
-    gate_enabled: bool | None = None,
-    truncation: str | None = None,
 ) -> dict:
     """Task metrics for one checkpoint at one budget.
 
     Returns {"loss", "metric_name", "metric", "higher_better", ...} with
     task extras (mse / accuracy / nll, bpb, ppl).  Never mutates params.
+    The gate and truncation mode are the config's (see ``model_forward``).
     """
     if split == "eval":
         inputs, targets, mask = dataset.eval_inputs, dataset.eval_targets, dataset.eval_mask
@@ -391,10 +390,7 @@ def evaluate_model(
         batch_in = inputs[start:stop]
         batch_tgt = targets[start:stop]
         batch_mask = None if mask is None else mask[start:stop]
-        out, _ = model_forward(
-            batch_in, params, config, basis, budget,
-            gate_enabled=gate_enabled, truncation=truncation,
-        )
+        out, _ = model_forward(batch_in, params, config, basis, budget)
         if dataset.loss == "cross-entropy":
             loss, _ = softmax_cross_entropy(out, batch_tgt, batch_mask)
             weight = int(batch_mask.sum()) if batch_mask is not None else batch_tgt.size

@@ -30,7 +30,6 @@ from .errors import ArtifactError, ConfigError, NumericError, StructuralError
 from .model import (
     ModelParams,
     checkpoint_bytes,
-    checkpoint_span,
     flatten_params,
     init_model_params,
     param_schema,
@@ -83,23 +82,16 @@ class BudgetSampler:
 
     ``mode`` is "uniform-over-budget-set" (the deployment grid) or
     "uniform-over-range" (all integers 2..capacity).  Budgets of 1 are
-    excluded from both supports: a single-channel model cannot normalize
-    its gate meaningfully, and the deployment grid starts at 2.
+    outside both supports, and a budget set that holds one is rejected: a
+    single-channel model cannot normalize its gate meaningfully, and the
+    deployment grid starts at 2.
     """
 
-    def __init__(
-        self,
-        mode: str,
-        budget_set: tuple[int, ...],
-        capacity: int,
-        seed: int,
-        _allow_k1: bool = False,
-    ):
-        low = 1 if _allow_k1 else 2
+    def __init__(self, mode: str, budget_set: tuple[int, ...], capacity: int, seed: int):
         if mode == "uniform-over-budget-set":
-            support = tuple(int(k) for k in budget_set if k >= low)
+            support = tuple(int(k) for k in budget_set)
         elif mode == "uniform-over-range":
-            support = tuple(range(low, capacity + 1))
+            support = tuple(range(2, capacity + 1))
         else:
             raise ConfigError(f"unknown sampler mode {mode!r}")
         if not support:
@@ -107,9 +99,9 @@ class BudgetSampler:
                 f"budget sampler support is empty (mode={mode!r}, "
                 f"budget_set={budget_set}, capacity={capacity})"
             )
-        bad = [k for k in support if not 1 <= k <= capacity]
+        bad = [k for k in support if not 2 <= k <= capacity]
         if bad:
-            raise ConfigError(f"budgets {bad} outside [1, capacity={capacity}]")
+            raise ConfigError(f"budgets {bad} outside [2, capacity={capacity}]")
         self.mode = mode
         self.support = support
         self.capacity = capacity
@@ -329,7 +321,7 @@ def optimizer_block_bytes(state: OptimizerState, config: ModelConfig) -> bytes:
     return w.finish()
 
 
-def optimizer_state_from_block(data: bytes, config: ModelConfig) -> OptimizerState:
+def optimizer_state_from_block(data: bytes | memoryview, config: ModelConfig) -> OptimizerState:
     r = Reader(data, OPTIMIZER_MAGIC, what="optimizer state")
     r.expect_version(OPTIMIZER_VERSION)
     completed, applied, skipped = r.u64(), r.u64(), r.u64()
@@ -362,14 +354,13 @@ def load_training_checkpoint(
             data = fh.read()
     except OSError as exc:
         raise ArtifactError(f"cannot read checkpoint {os.fspath(path)!r}: {exc}") from exc
-    span, config = checkpoint_span(data, what=f"checkpoint {os.fspath(path)!r}")
-    params, _ = params_from_checkpoint(data[:span], what=f"checkpoint {os.fspath(path)!r}")
+    params, config, span = params_from_checkpoint(data, what=f"checkpoint {os.fspath(path)!r}")
     if len(data) <= span:
         raise ArtifactError(
             f"checkpoint {os.fspath(path)!r} has no optimizer block; "
             "it cannot resume training (it can still be evaluated)"
         )
-    state = optimizer_state_from_block(data[span:], config)
+    state = optimizer_state_from_block(memoryview(data)[span:], config)
     return params, config, state
 
 
@@ -427,6 +418,11 @@ def run_training(
         raise ConfigError(
             f"dataset sequence length {dataset.seq_len} != model seq_len "
             f"{model_cfg.seq_len}"
+        )
+    if train_cfg.loss != dataset.loss:
+        raise ConfigError(
+            f"train.loss is {train_cfg.loss!r} but the {dataset.kind!r} task "
+            f"trains with {dataset.loss!r}; set train.loss to {dataset.loss!r}"
         )
 
     sampler = BudgetSampler(

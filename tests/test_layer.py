@@ -265,8 +265,6 @@ class TestLayerForward:
         u = rng.normal(size=(16, 3))
         with pytest.raises(BudgetError, match="budget 1"):
             layer_forward(u, p, basis16, budget=1)
-        out, _ = layer_forward(u, p, basis16, budget=1, _allow_k1=True)
-        assert out.shape == (16, 3)
 
     def test_budget_bounds_rejected(self, basis16):
         rng = np.random.default_rng(15)

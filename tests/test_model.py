@@ -1,8 +1,12 @@
 """Stacked model: init, norms, forward semantics, checkpoint container."""
 
+import inspect
+
 import numpy as np
 import pytest
 
+from elastic_ssm import backprop, layer, model, sweep, tasks, training
+from elastic_ssm.backprop import model_loss_fn
 from elastic_ssm.basis import build_basis
 from elastic_ssm.config import ModelConfig
 from elastic_ssm.errors import ArtifactError, StructuralError
@@ -22,7 +26,11 @@ from elastic_ssm.model import (
     rms_norm_forward,
     save_checkpoint,
 )
+from elastic_ssm.layer import layer_forward
 from elastic_ssm.storage import Writer
+from elastic_ssm.sweep import budget_sweep, run_ablation
+from elastic_ssm.tasks import evaluate_model
+from elastic_ssm.training import BudgetSampler
 
 
 @pytest.fixture(scope="module")
@@ -226,6 +234,59 @@ class TestModelForward:
         tokens = np.zeros((3, 16), dtype=int)
         _, cache = model_forward(tokens, p, cfg, basis16, budget=3)
         assert cache.flops == sum(lc.flops for lc in cache.layer_caches)
+
+
+class TestForwardModeFromConfig:
+    """The budget is the only runtime input; the config picks the mode."""
+
+    @pytest.mark.parametrize("overrides", [
+        {}, {"truncation_mode": "direct"}, {"gate_enabled": False},
+    ])
+    def test_layers_run_in_the_config_mode(self, basis16, overrides):
+        cfg = small_config(depth=1, **overrides)
+        p = init_model_params(cfg)
+        tokens = np.arange(16)[None] % 11
+        _, cache = model_forward(tokens, p, cfg, basis16, budget=3)
+        (lcache,) = cache.layer_caches
+        assert lcache.gate_enabled == cfg.gate_enabled
+        assert lcache.truncation == cfg.truncation_mode
+        normed, _ = layer_norm_forward(
+            p.embed_table[tokens], p.blocks[0].norm_gain, p.blocks[0].norm_bias
+        )
+        y, _ = layer_forward(normed, p.blocks[0].layer, basis16, 3,
+                             gate_enabled=cfg.gate_enabled,
+                             truncation=cfg.truncation_mode)
+        assert np.array_equal(cache.final_input, p.embed_table[tokens] + y)
+
+    def test_no_per_call_mode_switches(self):
+        def names(fn):
+            return list(inspect.signature(fn).parameters)
+
+        assert names(model_forward) == ["inputs", "params", "config", "basis", "budget"]
+        assert names(evaluate_model) == [
+            "params", "config", "basis", "dataset", "budget", "split", "batch_size"]
+        assert names(budget_sweep) == [
+            "params", "config", "basis", "dataset", "budgets", "split", "batch_size"]
+        assert names(model_loss_fn) == [
+            "inputs", "targets", "config", "basis", "budget", "mask"]
+        assert names(run_ablation) == ["base", "variants", "budgets", "out_dir"]
+        assert names(BudgetSampler) == ["mode", "budget_set", "capacity", "seed"]
+        assert names(layer_forward) == [
+            "u", "p", "basis", "budget", "gate_enabled", "truncation"]
+
+    def test_only_the_layer_and_its_audit_take_a_mode(self):
+        takes_mode, hidden = set(), []
+        for mod in (backprop, layer, model, sweep, tasks, training):
+            for name, fn in vars(mod).items():
+                if not (inspect.isfunction(fn) and fn.__module__ == mod.__name__):
+                    continue
+                params = inspect.signature(fn).parameters.values()
+                if any(q.name in ("gate_enabled", "truncation") for q in params):
+                    takes_mode.add(name)
+                hidden += [f"{name}({q.name})" for q in params
+                           if q.name.startswith("_") or q.kind is q.VAR_KEYWORD]
+        assert takes_mode == {"layer_forward", "bibo_audit"}
+        assert hidden == []
 
 
 class TestCheckpoint:

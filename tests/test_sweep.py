@@ -359,6 +359,16 @@ class TestBiboAudit:
         assert report["passed"]
         assert report["max_ratio"] == max(b["max_ratio"] for b in report["blocks"])
 
+    def test_model_audit_runs_the_config_truncation_mode(self):
+        cfg = small_config(depth=2, truncation_mode="direct")
+        basis = build_basis(cfg.seq_len, cfg.capacity)
+        params = init_model_params(cfg)
+        report = model_bibo_audit(params, cfg, basis, n_trials=5, seed=3)
+        for i, block in enumerate(report["blocks"]):
+            direct = bibo_audit(params.blocks[i].layer, basis, n_trials=5,
+                                seed=3 + i, truncation="direct")
+            assert block == dict(direct, block=i)
+
     def test_trained_checkpoint_no_violations(self, trained_copy):
         run, result = trained_copy
         basis = result["basis"]
@@ -479,30 +489,16 @@ class TestAblation:
         reeval = out["rows"][-1]
         assert reeval["params"] is es["params"]  # no fifth training run
 
+    def test_reevaluation_sweeps_the_direct_mode_config(self, tiny_ablation):
+        _, out = tiny_ablation
+        es, reeval = out["rows"][0], out["rows"][-1]
+        direct = dataclasses.replace(es["run"].model, truncation_mode="direct")
+        assert reeval["report"] == budget_sweep(
+            es["params"], direct, es["basis"], out["dataset"])
+        assert reeval["report"] != es["report"]
+
     def test_variants_share_one_dataset(self, tiny_ablation):
         _, out = tiny_ablation
         assert out["dataset"] is not None
         for row in out["rows"]:
             assert row["report"].metric_name == "accuracy"
-
-    def test_mismatched_recipes_rejected(self, tiny_ablation):
-        base, _ = tiny_ablation
-        runs = [variant_run(base, v) for v in DEFAULT_VARIANTS]
-        runs[2] = dataclasses.replace(
-            runs[2], train=dataclasses.replace(runs[2].train, lr=1e-4)
-        )
-        with pytest.raises(ConfigError, match="recipe"):
-            run_ablation(base, runs=runs)
-
-    def test_toggle_disagreement_rejected(self, tiny_ablation):
-        base, _ = tiny_ablation
-        runs = [variant_run(base, v) for v in DEFAULT_VARIANTS]
-        runs[1] = variant_run(base, DEFAULT_VARIANTS[0])  # wrong toggles
-        with pytest.raises(ConfigError):
-            run_ablation(base, runs=runs)
-
-    def test_run_count_mismatch_rejected(self, tiny_ablation):
-        base, _ = tiny_ablation
-        runs = [variant_run(base, v) for v in DEFAULT_VARIANTS[:3]]
-        with pytest.raises(ConfigError, match="variants"):
-            run_ablation(base, runs=runs)

@@ -1,6 +1,7 @@
 """Task generators: linear-system teacher, delayed copy, byte LM, metrics."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -438,10 +439,10 @@ class TestEvaluateModel:
     def test_gate_and_truncation_passthrough(self):
         params, config, basis, dataset = small_setup("copy")
         gated = evaluate_model(params, config, basis, dataset, budget=2)
-        ungated = evaluate_model(params, config, basis, dataset, budget=2,
-                                 gate_enabled=False)
-        direct = evaluate_model(params, config, basis, dataset, budget=2,
-                                truncation="direct")
+        ungated = evaluate_model(params, replace(config, gate_enabled=False),
+                                 basis, dataset, budget=2)
+        direct = evaluate_model(params, replace(config, truncation_mode="direct"),
+                                basis, dataset, budget=2)
         assert gated["loss"] != ungated["loss"]
         assert gated["loss"] != direct["loss"]
 

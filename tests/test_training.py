@@ -6,11 +6,13 @@ import math
 import numpy as np
 import pytest
 
+import elastic_ssm.model as model_module
 import elastic_ssm.training as training_module
 from elastic_ssm.basis import build_basis
 from elastic_ssm.config import ModelConfig, Paths, RunConfig, TaskSpec, TrainConfig
 from elastic_ssm.errors import ArtifactError, ConfigError, NumericError, StructuralError
 from elastic_ssm.model import (
+    checkpoint_span,
     flatten_params,
     init_model_params,
     param_order,
@@ -93,9 +95,10 @@ class TestBudgetSampler:
     def test_budget_one_excluded_by_default(self):
         s = BudgetSampler("uniform-over-range", DEPLOY_SET, 4, seed=0)
         assert 1 not in s.support
-        wide = BudgetSampler("uniform-over-range", DEPLOY_SET, 4, seed=0,
-                             _allow_k1=True)
-        assert 1 in wide.support
+
+    def test_budget_one_in_budget_set_rejected(self):
+        with pytest.raises(ConfigError, match=r"budgets \[1\] outside \[2, "):
+            BudgetSampler("uniform-over-budget-set", (1, 2, 4), 4, seed=0)
 
     def test_empty_support_rejected(self):
         with pytest.raises(ConfigError):
@@ -499,6 +502,25 @@ class TestOptimizerContainer:
         assert params_fingerprint(p2, c2) == params_fingerprint(params, config)
         assert s2.completed == 5
 
+    def test_training_checkpoint_decoded_once(self, tmp_path, monkeypatch):
+        config = tiny_config()
+        params = init_model_params(config)
+        path = tmp_path / "ck.essm"
+        save_training_checkpoint(path, params, config, init_optimizer_state(config))
+        spans = []
+
+        def counted(*args, **kwargs):
+            spans.append(args)
+            return checkpoint_span(*args, **kwargs)
+
+        monkeypatch.setattr(model_module, "checkpoint_span", counted)
+        p2, _, s2 = load_training_checkpoint(path)
+        assert len(spans) == 1
+        arrays = [a for _, a in flatten_params(p2, config)]
+        arrays += [*s2.m.values(), *s2.v.values(), *s2.counts.values()]
+        for arr in arrays:
+            assert arr.flags.writeable and arr.flags.owndata
+
     def test_model_only_checkpoint_cannot_resume(self, tmp_path):
         config = tiny_config()
         params = init_model_params(config)
@@ -632,6 +654,26 @@ class TestRunTraining:
                               n_samples=8)
         with pytest.raises(ConfigError, match="seq_len"):
             run_training(run, dataset=wrong)
+
+    def test_loss_must_match_the_task(self, tmp_path, monkeypatch):
+        model = ModelConfig(seq_len=8, width=4, gate_hidden=4, capacity=4,
+                            depth=1, input_kind="real", in_dim=2, out_dim=2,
+                            budget_set=(2, 4), seed=0)
+        task = TaskSpec(kind="lds-regression", data_dim=2, state_dim=2,
+                        n_samples=8)
+        run = RunConfig(model=model, train=TrainConfig(steps=5), task=task,
+                        paths=Paths())
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(training_module, "train_step", no_step)
+        ck = tmp_path / "ck.essm"
+        with pytest.raises(ConfigError, match="'cross-entropy'.*'mse'"):
+            run_training(run, checkpoint_path=ck, log_path=tmp_path / "log.jsonl")
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(ConfigError, match="'mse'.*'cross-entropy'"):
+            run_training(copy_run(steps=5, loss="mse"))
 
     def test_final_eval_reuses_the_last_cadence_eval(self, monkeypatch):
         calls = count_evals(monkeypatch)
