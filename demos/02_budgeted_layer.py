@@ -21,7 +21,7 @@ def main():
     basis = build_basis(cfg.seq_len, cfg.capacity)
     layer = init_model_params(cfg).blocks[0].layer
     rng = np.random.default_rng(1)
-    u = rng.normal(size=(cfg.seq_len, cfg.width))
+    u = rng.normal(size=(cfg.seq_len, cfg.width))[None]  # a batch of one
 
     full, _ = layer_forward(u, layer, basis, cfg.capacity)
     print("distance to the full-capacity output as the budget grows:")

@@ -63,7 +63,7 @@ def main():
                       out_dim=256, depth=1, seed=0)
     big_basis = build_basis(big.seq_len, big.capacity)
     big_layer = init_model_params(big).blocks[0].layer
-    u = np.random.default_rng(0).normal(size=(big.seq_len, big.width))
+    u = np.random.default_rng(0).normal(size=(big.seq_len, big.width))[None]
     for budget in (4, 32):
         times = []
         for _ in range(3):

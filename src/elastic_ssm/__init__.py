@@ -36,7 +36,7 @@ from .layer import (
     layer_forward,
     masked_softmax,
 )
-from .linalg import fft_causal_conv, symmetric_eig
+from .linalg import symmetric_eig
 from .model import (
     ModelParams,
     init_model_params,
@@ -58,13 +58,7 @@ from .sweep import (
     run_ablation,
     training_cost_ratio,
 )
-from .tasks import (
-    Dataset,
-    build_dataset,
-    evaluate_model,
-    load_dataset,
-    save_dataset,
-)
+from .tasks import Dataset, build_dataset, evaluate_model
 from .training import (
     BudgetSampler,
     derive_seeds,
@@ -103,7 +97,6 @@ __all__ = [
     "build_dataset",
     "derive_seeds",
     "evaluate_model",
-    "fft_causal_conv",
     "find_collapse_boundary",
     "find_sweet_spot",
     "finite_diff_check",
@@ -115,7 +108,6 @@ __all__ = [
     "layer_forward",
     "load_basis",
     "load_checkpoint",
-    "load_dataset",
     "load_training_checkpoint",
     "masked_softmax",
     "model_backward",
@@ -127,7 +119,6 @@ __all__ = [
     "run_training",
     "save_basis",
     "save_checkpoint",
-    "save_dataset",
     "save_training_checkpoint",
     "symmetric_eig",
     "training_cost_ratio",

@@ -191,8 +191,6 @@ def layer_backward(
     p = cache.params
     budget = cache.budget
     dout = np.asarray(dout)
-    if cache.squeeze and dout.ndim == 2:
-        dout = dout[None]
     if dout.shape != cache.u.shape:
         raise StructuralError(
             f"upstream gradient shape {dout.shape} does not match layer "
@@ -281,14 +279,11 @@ def model_backward(dout, cache: ModelCache) -> dict[str, np.ndarray]:
     """Gradient of a scalar loss wrt every parameter, as {name: array}.
 
     ``dout`` is the loss gradient at the model output, shaped like the
-    forward result ((B, L, out) per-step, (B, out) mean-pool; leading axis
-    optional when the forward squeezed).
+    forward result: (B, L, out) per-step, (B, out) mean-pool.
     """
     config = cache.config
     params = cache.params
     dout = np.asarray(dout)
-    if cache.squeeze:
-        dout = dout[None] if dout.ndim == (1 if config.head == "mean-pool" else 2) else dout
 
     grads = {
         spec.name: np.zeros(spec.shape, dtype=np.dtype(config.precision))
@@ -435,25 +430,12 @@ def model_loss_fn(inputs, targets, config, basis, budget, mask=None):
     (``run_training`` checks that ``TrainConfig.loss`` names the same one).
     """
     targets = np.asarray(targets)
-    use_ce = np.issubdtype(targets.dtype, np.integer)
+    loss_of = (softmax_cross_entropy if np.issubdtype(targets.dtype, np.integer)
+               else mean_squared_error)
 
     def loss_fn(params):
         out, cache = model_forward(inputs, params, config, basis, budget)
-        if cache.squeeze:
-            out = out[None]
-        if use_ce:
-            tgt = targets if targets.ndim == out.ndim - 1 else targets[None]
-            msk = None if mask is None else (
-                mask if np.asarray(mask).ndim == tgt.ndim else np.asarray(mask)[None]
-            )
-            loss, dout = softmax_cross_entropy(out, tgt, msk)
-        else:
-            tgt = targets if targets.ndim == out.ndim else targets[None]
-            msk = None if mask is None else (
-                mask if np.asarray(mask).ndim == out.ndim - 1 else np.asarray(mask)[None]
-            )
-            loss, dout = mean_squared_error(out, tgt, msk)
-        grads = model_backward(dout, cache)
-        return loss, grads
+        loss, dout = loss_of(out, targets, mask)
+        return loss, model_backward(dout, cache)
 
     return loss_fn

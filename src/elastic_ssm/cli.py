@@ -25,7 +25,7 @@ import numpy as np
 
 from .backprop import finite_diff_check, model_loss_fn
 from .basis import basis_cache_path, get_or_build_basis
-from .config import DEFAULT_BUDGET_SET, ModelConfig, RunConfig, TaskSpec, TrainConfig
+from .config import DEFAULT_BUDGET_SET, ModelConfig, RunConfig
 from .errors import ArtifactError, AuditError, ConfigError, EssmError, exit_code_for
 from .model import init_model_params, load_checkpoint
 from .sweep import (
@@ -198,7 +198,7 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _sweep_run_config(args, model_cfg: ModelConfig) -> RunConfig:
+def _sweep_run_config(args) -> RunConfig:
     """The task/paths context for a sweep: --config, else the resolved
     config written next to the checkpoint by the training run."""
     if args.config is not None:
@@ -214,7 +214,7 @@ def _sweep_run_config(args, model_cfg: ModelConfig) -> RunConfig:
 
 def cmd_sweep(args) -> int:
     params, model_cfg = load_checkpoint(args.checkpoint)
-    run = _sweep_run_config(args, model_cfg)
+    run = _sweep_run_config(args)
     if run.model.to_dict() != model_cfg.to_dict():
         raise ArtifactError(
             "run config's model section disagrees with the checkpoint's "

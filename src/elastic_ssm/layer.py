@@ -10,9 +10,9 @@ per-timestep weights come from a small MLP gate: logits for all channels,
 RMS rescale of the first K logits (sqrt(K) / (norm + eps)), then a masked
 softmax that assigns exactly zero to channels beyond the budget.
 
-Everything works on a single ``(L, d)`` sequence or a batch ``(B, L, d)``;
-outputs match the input's layout.  Budgets of 1 are rejected: the supported
-budget grid starts at 2.
+Inputs and outputs are batches ``(B, L, d)``; pass one sequence ``u`` as
+``u[None]``.  Budgets of 1 are rejected: the supported budget grid starts
+at 2.
 """
 
 from __future__ import annotations
@@ -230,8 +230,6 @@ class LayerCache:
     weights_full: Optional[np.ndarray]  # (B, L, capacity) gate output, zero past K when masked
     params: LayerParams = field(repr=False)
     basis: SpectralBasis = field(repr=False)
-    squeeze: bool = False  # True when the caller passed a single sequence
-    flops: int = 0
 
 
 def _check_budget(budget: int, capacity: int) -> None:
@@ -264,11 +262,8 @@ def layer_forward(
     With ``gate_enabled=False`` every active channel gets unit weight.
     """
     u = np.asarray(u)
-    squeeze = u.ndim == 2
-    if squeeze:
-        u = u[None]
     if u.ndim != 3:
-        raise StructuralError(f"layer input must be (L, d) or (B, L, d), got {u.shape}")
+        raise StructuralError(f"layer input must be (B, L, d), got {u.shape}")
     _, length, width = u.shape
     if basis.seq_len != length:
         raise StructuralError(
@@ -316,9 +311,5 @@ def layer_forward(
         weights_full=weights_full,
         params=p,
         basis=basis,
-        squeeze=squeeze,
-        flops=layer_flop_count(
-            length, width, p.gate.w_in.shape[0], p.capacity, budget, u.shape[0]
-        ),
     )
-    return (out[0] if squeeze else out), cache
+    return out, cache

@@ -1,13 +1,13 @@
 """Dense linear-algebra kernels: symmetric eigendecomposition with a fixed
-sign convention and FFT causal convolution (single filter, filter bank, and
-the bank's adjoint).
+sign convention and FFT causal convolution of a filter bank, plus the
+bank's adjoint.
 
 Array conventions used throughout the package:
 
 * a *matrix* is a 2-D C-order ``float`` ndarray,
-* a *sequence* is an ``(L, d)`` array (time-major), with an optional leading
-  batch axis ``(B, L, d)``,
-* a *filter vector* is a length-``L`` 1-D array.
+* sequences always come as a batch ``(B, L, d)`` (time-major within each
+  sequence); one sequence ``x`` is passed as ``x[None]``,
+* a *filter bank* is a ``(K, L)`` array, one length-``L`` filter per row.
 
 Causal convolution is defined as ``out[t] = sum_{tau=0..t} f[tau] * s[t-tau]``
 (0-indexed): the tap at lag zero participates, and ``out[t]`` never reads
@@ -21,7 +21,6 @@ import numpy as np
 from .errors import ConvergenceError, StructuralError
 
 __all__ = [
-    "fft_causal_conv",
     "fft_causal_conv_bank",
     "fft_causal_conv_bank_adjoint",
     "next_pow2",
@@ -97,57 +96,27 @@ def symmetric_eig(m) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def _check_conv_args(filt, signal) -> tuple[np.ndarray, np.ndarray]:
-    f = _as_float_array(filt, "filter")
-    s = _as_float_array(signal, "signal")
-    if f.ndim != 1:
-        raise StructuralError(f"filter must be 1-D, got shape {f.shape}")
-    if s.ndim < 1 or s.ndim > 3:
-        raise StructuralError(f"signal must be 1-D, 2-D, or 3-D, got {s.shape}")
-    length_axis = 0 if s.ndim == 1 else (0 if s.ndim == 2 else 1)
-    if s.shape[length_axis] != f.shape[0]:
-        raise StructuralError(
-            f"filter length {f.shape[0]} does not match signal length "
-            f"{s.shape[length_axis]}"
-        )
-    return f, s
-
-
-def fft_causal_conv(filt, signal) -> np.ndarray:
-    """Causal convolution via FFT.
+def fft_causal_conv_bank(filters, signal) -> np.ndarray:
+    """Convolve a bank of filters against every feature column at once.
 
     Both operands are zero-padded to the next power of two >= 2L-1, so the
     circular convolution theorem yields the exact linear convolution, then
     the result is truncated back to length L.
-    """
-    f, s = _check_conv_args(filt, signal)
-    if s.ndim == 1:
-        return fft_causal_conv_bank(f[None, :], s[:, None])[0, :, 0]
-    if s.ndim == 2:
-        return fft_causal_conv_bank(f[None, :], s)[0]
-    return fft_causal_conv_bank(f[None, :], s)[:, 0]
-
-
-def fft_causal_conv_bank(filters, signal) -> np.ndarray:
-    """Convolve a bank of filters against every feature column at once.
 
     Args:
         filters: ``(K, L)`` array, filter-major.
-        signal:  ``(L, d)`` or ``(B, L, d)`` array.
+        signal:  ``(B, L, d)`` array.
 
     Returns:
-        ``(K, L, d)`` or ``(B, K, L, d)`` array where slot ``k`` holds the
-        causal convolution of ``filters[k]`` against the signal.
+        ``(B, K, L, d)`` array where slot ``[b, k]`` holds the causal
+        convolution of ``filters[k]`` against sequence ``b``.
     """
     f = _as_float_array(filters, "filters")
     s = _as_float_array(signal, "signal")
     if f.ndim != 2:
         raise StructuralError(f"filter bank must be 2-D, got {f.shape}")
-    batched = s.ndim == 3
-    if not batched:
-        if s.ndim != 2:
-            raise StructuralError(f"signal must be (L, d) or (B, L, d), got {s.shape}")
-        s = s[None]
+    if s.ndim != 3:
+        raise StructuralError(f"signal must be (B, L, d), got {s.shape}")
     length = s.shape[1]
     if f.shape[1] != length:
         raise StructuralError(
@@ -158,39 +127,34 @@ def fft_causal_conv_bank(filters, signal) -> np.ndarray:
     s_hat = np.fft.rfft(s, n=n, axis=1)  # (B, nf, d)
     prod = s_hat[:, None, :, :] * f_hat[None, :, :, None]  # (B, K, nf, d)
     full = np.fft.irfft(prod, n=n, axis=2)[:, :, :length, :]
-    out = full.astype(s.dtype, copy=False)
-    return out if batched else out[0]
+    return full.astype(s.dtype, copy=False)
 
 
 def fft_causal_conv_bank_adjoint(filters, grad_features) -> np.ndarray:
     """Adjoint of :func:`fft_causal_conv_bank` with respect to the signal.
 
     Given upstream gradients for the per-filter features, accumulates
-    ``dsignal[t] = sum_k sum_{t' >= t} filters[k][t' - t] * grad[k][t']``
+    ``dsignal[b, t] = sum_k sum_{t' >= t} filters[k][t' - t] * grad[b, k][t']``
     (causal cross-correlation, summed over the bank).
 
     Args:
         filters: ``(K, L)``.
-        grad_features: ``(K, L, d)`` or ``(B, K, L, d)``.
+        grad_features: ``(B, K, L, d)``.
 
     Returns:
-        ``(L, d)`` or ``(B, L, d)``.
+        ``(B, L, d)``.
     """
     f = _as_float_array(filters, "filters")
     g = np.asarray(grad_features)
-    batched = g.ndim == 4
-    if not batched:
-        g = g[None]
     length = f.shape[1]
-    if g.shape[1] != f.shape[0] or g.shape[2] != length:
+    if g.ndim != 4 or g.shape[1:3] != f.shape:
         raise StructuralError(
-            f"grad_features shape {g.shape[1:]} does not match filter bank "
-            f"{f.shape}"
+            f"grad_features must be (B, {f.shape[0]}, {length}, d) for filter "
+            f"bank {f.shape}, got {g.shape}"
         )
     n = next_pow2(2 * length - 1)
     f_hat = np.fft.rfft(f, n=n, axis=1)  # (K, nf)
     g_hat = np.fft.rfft(g, n=n, axis=2)  # (B, K, nf, d)
     prod = np.conj(f_hat)[None, :, :, None] * g_hat  # (B, K, nf, d)
     acc = np.fft.irfft(prod.sum(axis=1), n=n, axis=1)[:, :length, :]
-    out = acc.astype(g.dtype, copy=False)
-    return out if batched else out[0]
+    return acc.astype(g.dtype, copy=False)

@@ -3,7 +3,8 @@
 Pipeline: embedding (table lookup for token inputs, linear map for
 real-valued inputs) -> depth x [u + layer(norm(u))] -> final norm ->
 linear readout (per timestep, or mean-pooled over time for sequence
-classification heads).
+classification heads).  Inputs are always a batch: (B, L) token ids or
+(B, L, in_dim) reals; one sequence ``x`` goes in as ``x[None]``.
 
 Parameters live in plain dataclasses of numpy arrays.  ``param_schema`` is
 the one description of their layout: for every tensor its name, place in
@@ -279,22 +280,16 @@ def norm_forward(kind: str, x, gain, bias):
 
 @dataclass
 class ModelCache:
-    """Everything the analytic backward pass needs, embedding to head."""
+    """What the analytic backward pass reads, embedding to head."""
 
     config: ModelConfig
     budget: int
-    inputs: np.ndarray
-    embedded: np.ndarray  # (B, L, d)
-    block_inputs: list[np.ndarray]
+    inputs: np.ndarray  # (B, L) token ids or (B, L, in_dim) reals
     norm_caches: list[dict]
     layer_caches: list[LayerCache]
-    final_input: np.ndarray
     final_cache: dict
     features: np.ndarray  # (B, L, d) post final norm
-    squeeze: bool
     params: ModelParams = field(repr=False)
-    basis: SpectralBasis = field(repr=False)
-    flops: int = 0
 
 
 def model_forward(
@@ -310,10 +305,9 @@ def model_forward(
     ``config.gate_enabled`` and ``config.truncation_mode``.  Run another mode
     with ``dataclasses.replace(config, truncation_mode="direct")``.
 
-    Token tasks take integer arrays (L,) or (B, L); real-valued tasks take
-    (L, in_dim) or (B, L, in_dim).  Output is (B, L, out_dim) for per-step
-    heads or (B, out_dim) for mean-pool heads (leading axis dropped when a
-    single sequence was passed).
+    Token tasks take integer arrays (B, L); real-valued tasks take
+    (B, L, in_dim).  Output is (B, L, out_dim) for per-step heads or
+    (B, out_dim) for mean-pool heads.  Pass one sequence ``x`` as ``x[None]``.
     """
     inputs = np.asarray(inputs)
     if basis.seq_len != config.seq_len or basis.capacity != config.capacity:
@@ -325,13 +319,9 @@ def model_forward(
     if config.input_kind == "tokens":
         if not np.issubdtype(inputs.dtype, np.integer):
             raise StructuralError("token inputs must be integers")
-        squeeze = inputs.ndim == 1
-        if squeeze:
-            inputs = inputs[None]
         if inputs.ndim != 2 or inputs.shape[1] != config.seq_len:
             raise StructuralError(
-                f"token input must be (L,) or (B, L) with L={config.seq_len}, "
-                f"got {inputs.shape}"
+                f"token input must be (B, L) with L={config.seq_len}, got {inputs.shape}"
             )
         if inputs.size and (inputs.min() < 0 or inputs.max() >= config.vocab_size):
             raise StructuralError(
@@ -339,34 +329,25 @@ def model_forward(
             )
         x = params.embed_table[inputs]
     else:
-        squeeze = inputs.ndim == 2
-        if squeeze:
-            inputs = inputs[None]
         if inputs.ndim != 3 or inputs.shape[1:] != (config.seq_len, config.in_dim):
             raise StructuralError(
-                f"real input must be (L, {config.in_dim}) or (B, L, "
-                f"{config.in_dim}) with L={config.seq_len}, got {inputs.shape}"
+                f"real input must be (B, L, {config.in_dim}) with "
+                f"L={config.seq_len}, got {inputs.shape}"
             )
         x = inputs @ params.embed_w.T + params.embed_b
 
-    embedded = x
-    block_inputs: list[np.ndarray] = []
     norm_caches: list[dict] = []
     layer_caches: list[LayerCache] = []
-    flops = 0
     for block in params.blocks:
-        block_inputs.append(x)
         normed, ncache = norm_forward(config.norm_kind, x, block.norm_gain, block.norm_bias)
         y, lcache = layer_forward(
             normed, block.layer, basis, budget,
             gate_enabled=config.gate_enabled, truncation=config.truncation_mode,
         )
-        flops += lcache.flops
         norm_caches.append(ncache)
         layer_caches.append(lcache)
         x = x + y
 
-    final_input = x
     features, final_cache = norm_forward(
         config.norm_kind, x, params.final_gain, params.final_bias
     )
@@ -380,19 +361,13 @@ def model_forward(
         config=config,
         budget=budget,
         inputs=inputs,
-        embedded=embedded,
-        block_inputs=block_inputs,
         norm_caches=norm_caches,
         layer_caches=layer_caches,
-        final_input=final_input,
         final_cache=final_cache,
         features=features,
-        squeeze=squeeze,
         params=params,
-        basis=basis,
-        flops=flops,
     )
-    return (out[0] if squeeze else out), cache
+    return out, cache
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Binary container helpers shared by the basis / checkpoint / dataset formats.
+"""Binary container helpers shared by the basis and checkpoint formats.
 
 All on-disk artifacts use the same skeleton: a 4-byte ASCII magic, a u32
 format version, format-specific header fields, raw little-endian tensor
@@ -68,10 +68,6 @@ class Writer:
             raise ValueError("magic must be exactly 4 bytes")
         self._parts: list[bytes] = [magic]
 
-    def u8(self, value: int) -> "Writer":
-        self._parts.append(struct.pack("<B", value))
-        return self
-
     def u32(self, value: int) -> "Writer":
         self._parts.append(struct.pack("<I", value))
         return self
@@ -136,9 +132,6 @@ class Reader:
         out = self._buf[self._pos : self._pos + n]
         self._pos += n
         return out
-
-    def u8(self) -> int:
-        return struct.unpack("<B", self._take(1))[0]
 
     def u32(self) -> int:
         return struct.unpack("<I", self._take(4))[0]

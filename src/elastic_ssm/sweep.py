@@ -12,7 +12,6 @@ guarantee and accounts FLOPs with an exactly budget-affine formula.
 from __future__ import annotations
 
 import io
-import math
 import os
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -133,7 +132,6 @@ def budget_sweep(
     dataset: Dataset,
     budgets: Optional[Sequence[int]] = None,
     split: str = "eval",
-    batch_size: int = 64,
 ) -> SweepReport:
     """Evaluate one checkpoint at every budget; derive the retention curve.
 
@@ -155,10 +153,7 @@ def budget_sweep(
         )
     before = params_fingerprint(params, config)
     results = {
-        k: evaluate_model(
-            params, config, basis, dataset, budget=k, split=split,
-            batch_size=batch_size,
-        )
+        k: evaluate_model(params, config, basis, dataset, budget=k, split=split)
         for k in budgets
     }
     after = params_fingerprint(params, config)
@@ -188,24 +183,24 @@ def budget_sweep(
 # ---------------------------------------------------------------------------
 
 
-def bibo_constant(p: LayerParams, basis: SpectralBasis) -> dict:
+def bibo_constant(p: LayerParams, basis: SpectralBasis, gate_enabled: bool = True) -> dict:
     """The layer's output bound per unit of input sup-norm.
 
-    constant = ||skip||_op + max_k sigma_k^(1/4) * ||M_k||_op * ||Phi_k||_1,
-    with the filter 1-norm taken over the unscaled filters (the quarter
-    power enters as an explicit factor, not baked into the filter).  The
-    operator norms are exact (largest singular values), so the constant is
-    an upper bound.
+    constant = ||skip||_op + conv_term, from the per-channel terms
+    c_k = ||M_k||_op * ||scaled_filters[k]||_1 (the filters the layer
+    convolves with).  With the gate on, the weights at each step lie on or
+    under the simplex, so conv_term = max_k c_k; with it off, every active
+    channel has weight 1, so conv_term = sum_k c_k, which covers every
+    budget.  The operator norms are exact (largest singular values), so the
+    constant is an upper bound.
     """
     skip_term = float(np.linalg.norm(p.skip, 2))
-    quarter = basis.eigenvalues ** 0.25
     conv_terms = [
-        quarter[k]
-        * float(np.linalg.norm(p.mixing[k], 2))
-        * float(np.sum(np.abs(basis.filters[k])))
+        float(np.linalg.norm(p.mixing[k], 2))
+        * float(np.sum(np.abs(basis.scaled_filters[k])))
         for k in range(p.capacity)
     ]
-    conv_term = max(conv_terms)
+    conv_term = max(conv_terms) if gate_enabled else sum(conv_terms)
     return {
         "constant": skip_term + conv_term,
         "skip_term": skip_term,
@@ -223,21 +218,21 @@ def bibo_audit(
     seed: int = 0,
     truncation: str = "masked",
     rel_slack: float = 1e-9,
+    gate_enabled: bool = True,
 ) -> dict:
     """Check every output against the layer's input-output bound.
 
     Runs ``n_trials`` random inputs scaled so max_t ||u(t)||_2 equals
-    ``input_bound``, forwards the gated layer at every budget, and asserts
-    ||y(t)||_2 <= constant * input_bound at every step.  The bound assumes
-    the gate's weights lie on (or under) the simplex, so the audit always
-    runs with the gate enabled; both truncation modes qualify (masked
-    renormalizes onto the simplex, direct drops mass below it).  A
-    violation is reported with its witness (trial, budget, t, ratio).
+    ``input_bound``, forwards the layer in the given gate and truncation
+    mode at every budget, and asserts ||y(t)||_2 <= constant * input_bound
+    at every step, with the constant of :func:`bibo_constant` for that gate
+    mode.  A violation is reported with its witness (trial, budget, t,
+    ratio).
     """
     if budgets is None:
         budgets = range(2, basis.capacity + 1)
     budgets = tuple(int(k) for k in budgets)
-    terms = bibo_constant(p, basis)
+    terms = bibo_constant(p, basis, gate_enabled)
     bound = terms["constant"] * input_bound
     rng = np.random.default_rng(seed)
     violations = []
@@ -249,9 +244,9 @@ def bibo_audit(
             continue
         u = u * (input_bound / sup)
         for k in budgets:
-            out, _ = layer_forward(u, p, basis, k, gate_enabled=True,
+            out, _ = layer_forward(u[None], p, basis, k, gate_enabled=gate_enabled,
                                    truncation=truncation)
-            norms = np.linalg.norm(out, axis=1)
+            norms = np.linalg.norm(out[0], axis=1)
             ratio = float(np.max(norms) / bound) if bound > 0 else float(
                 np.max(norms) > 0
             )
@@ -288,13 +283,14 @@ def model_bibo_audit(
     budgets: Optional[Sequence[int]] = None,
     seed: int = 0,
 ) -> dict:
-    """Per-block audit of a whole model's layers, in the config's truncation
-    mode; passes iff every block does."""
+    """Per-block audit of a whole model's layers, in the config's gate and
+    truncation mode; passes iff every block does."""
     blocks = []
     for i, block in enumerate(params.blocks):
         report = bibo_audit(
             block.layer, basis, n_trials=n_trials, input_bound=input_bound,
             budgets=budgets, seed=seed + i, truncation=config.truncation_mode,
+            gate_enabled=config.gate_enabled,
         )
         report["block"] = i
         blocks.append(report)

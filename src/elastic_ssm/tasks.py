@@ -2,8 +2,7 @@
 
 Every generator is a pure function of its seed.  Datasets carry their loss
 kind and metric orientation so the sweep machinery can compute retention
-without task-specific switches, and serialize to the "ESDS" container
-(magic, version, kind tag, meta JSON, little-endian tensors, CRC32).
+without task-specific switches.
 """
 
 from __future__ import annotations
@@ -15,13 +14,12 @@ from typing import Optional
 
 import numpy as np
 
-from .config import ModelConfig, TaskSpec
+from .config import TASK_KINDS, ModelConfig, TaskSpec
 from .errors import ArtifactError, ConfigError, NumericError, StructuralError
 from .linalg import next_pow2
 from .model import ModelParams, model_forward
 from .basis import SpectralBasis
 from .backprop import mean_squared_error, softmax_cross_entropy
-from .storage import Reader, Writer, atomic_write_bytes
 
 __all__ = [
     "Dataset",
@@ -32,20 +30,16 @@ __all__ = [
     "gen_copy_task",
     "gen_lds_teacher",
     "gen_byte_lm",
-    "load_dataset",
     "required_model_fields",
-    "save_dataset",
 ]
-
-DATASET_MAGIC = b"ESDS"
-DATASET_VERSION = 1
-KIND_TAGS = {"lds-regression": 1, "copy": 2, "byte-lm": 3}
-TAG_KINDS = {v: k for k, v in KIND_TAGS.items()}
 
 #: Fraction of a byte corpus reserved (contiguously, at the end) for eval.
 BYTE_EVAL_FRAC = 0.05
 #: Synthetic tasks draw one extra eval sequence per this many train samples.
 SYNTH_EVAL_DIVISOR = 8
+#: Bytes of spectral features (depth x B x K x L x d float64) that one
+#: evaluation batch may keep alive; the batch is the largest that fits.
+EVAL_FEATURE_BYTES = 2**28
 
 
 @dataclass(frozen=True)
@@ -89,7 +83,7 @@ class Dataset:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in KIND_TAGS:
+        if self.kind not in TASK_KINDS:
             raise ConfigError(f"unknown dataset kind {self.kind!r}")
         if self.inputs.shape[0] != self.targets.shape[0]:
             raise StructuralError("inputs/targets sample counts differ")
@@ -366,13 +360,14 @@ def evaluate_model(
     dataset: Dataset,
     budget: int,
     split: str = "eval",
-    batch_size: int = 64,
 ) -> dict:
     """Task metrics for one checkpoint at one budget.
 
     Returns {"loss", "metric_name", "metric", "higher_better", ...} with
     task extras (mse / accuracy / nll, bpb, ppl).  Never mutates params.
     The gate and truncation mode are the config's (see ``model_forward``).
+    Sequences run in the largest batches whose spectral features at this
+    budget fit ``EVAL_FEATURE_BYTES``.
     """
     if split == "eval":
         inputs, targets, mask = dataset.eval_inputs, dataset.eval_targets, dataset.eval_mask
@@ -385,6 +380,8 @@ def evaluate_model(
     total_weight = 0
     correct = 0
     counted = 0
+    per_sequence = config.depth * budget * config.seq_len * config.width * 8
+    batch_size = max(1, EVAL_FEATURE_BYTES // per_sequence)
     for start in range(0, inputs.shape[0], batch_size):
         stop = min(start + batch_size, inputs.shape[0])
         batch_in = inputs[start:stop]
@@ -434,81 +431,3 @@ def evaluate_model(
         report["ppl"] = ppl
         report["metric"] = bpb
     return report
-
-
-# ---------------------------------------------------------------------------
-# ESDS container
-# ---------------------------------------------------------------------------
-
-_FIELDS = ("inputs", "targets", "mask", "eval_inputs", "eval_targets", "eval_mask")
-
-
-def save_dataset(path: str | os.PathLike, dataset: Dataset) -> None:
-    """Write the ESDS container: version, kind tag, meta JSON, tensors, CRC."""
-    tensors = {}
-    meta_arrays = {}
-    for name in _FIELDS:
-        arr = getattr(dataset, name)
-        if arr is None:
-            continue
-        arr = np.asarray(arr)
-        store = arr.astype(np.uint8) if arr.dtype == bool else arr
-        tensors[name] = store
-        meta_arrays[name] = {"shape": list(store.shape), "dtype": str(store.dtype)}
-    meta = {
-        "kind": dataset.kind,
-        "loss": dataset.loss,
-        "metric_name": dataset.metric_name,
-        "higher_better": dataset.higher_better,
-        "arrays": meta_arrays,
-        "meta": dataset.meta,
-    }
-    w = Writer(DATASET_MAGIC)
-    w.u32(DATASET_VERSION)
-    w.u8(KIND_TAGS[dataset.kind])
-    w.json_block(meta)
-    for name in _FIELDS:
-        if name in tensors:
-            w.array(tensors[name], str(tensors[name].dtype))
-    atomic_write_bytes(path, w.finish())
-
-
-def load_dataset(path: str | os.PathLike) -> Dataset:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    what = f"dataset {os.fspath(path)!r}"
-    r = Reader(data, DATASET_MAGIC, what=what)
-    r.expect_version(DATASET_VERSION)
-    tag = r.u8()
-    if tag not in TAG_KINDS:
-        raise ArtifactError(f"{what}: unknown kind tag {tag}")
-    meta = r.json_block()
-    if meta.get("kind") != TAG_KINDS[tag]:
-        raise ArtifactError(
-            f"{what}: kind tag {TAG_KINDS[tag]!r} disagrees with meta "
-            f"{meta.get('kind')!r}"
-        )
-    arrays = {}
-    for name in _FIELDS:
-        info = meta["arrays"].get(name)
-        if info is None:
-            arrays[name] = None
-            continue
-        arr = r.array(tuple(info["shape"]), info["dtype"])
-        if name.endswith("mask"):
-            arr = arr.astype(bool)
-        arrays[name] = arr
-    r.expect_end()
-    return Dataset(
-        kind=meta["kind"],
-        inputs=arrays["inputs"],
-        targets=arrays["targets"],
-        mask=arrays["mask"],
-        eval_inputs=arrays["eval_inputs"],
-        eval_targets=arrays["eval_targets"],
-        eval_mask=arrays["eval_mask"],
-        loss=meta["loss"],
-        metric_name=meta["metric_name"],
-        higher_better=meta["higher_better"],
-        meta=meta["meta"],
-    )

@@ -228,9 +228,9 @@ class TestLayerBackward:
     def test_gate_disabled_gate_grads_zero(self, basis16):
         rng = np.random.default_rng(8)
         p = random_layer_params(rng, width=3, gate_hidden=4, capacity=6)
-        u = rng.normal(size=(16, 3))
+        u = rng.normal(size=(1, 16, 3))
         _, cache = layer_forward(u, p, basis16, budget=3, gate_enabled=False)
-        _, grads = layer_backward(rng.normal(size=(16, 3)), cache)
+        _, grads = layer_backward(rng.normal(size=(1, 16, 3)), cache)
         for name in ("gate.w_in", "gate.b_in", "gate.w_out", "gate.b_out"):
             assert np.all(grads[name] == 0.0)
         assert np.abs(grads["mixing"][:3]).max() > 0

@@ -1,0 +1,42 @@
+"""Source hygiene: every name a package module imports is used there.
+
+pyflakes and ruff are not dependencies, so the check parses the modules with
+``ast``: an imported name counts as used when it appears as a name in the
+module's code, or, for re-exports, in its ``__all__``.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "elastic_ssm"
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= set(ast.literal_eval(node.value))
+    return sorted(f"line {line}: {name}" for name, line in imported.items()
+                  if name not in used)
+
+
+def test_the_check_sees_an_unused_import():
+    assert unused_imports("import os\nimport math\nprint(math.pi)\n") == ["line 1: os"]
+    assert unused_imports("from a import b\n__all__ = ['b']\n") == []
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_unused_imports(module):
+    assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []

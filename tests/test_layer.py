@@ -173,7 +173,7 @@ class TestLayerForward:
             p = random_layer_params(rng, width=2, gate_hidden=3, capacity=6)
             u = rng.normal(size=(16, 2))
             budget = (2, 3, 6)[draw % 3]
-            out, _ = layer_forward(u, p, basis16, budget)
+            out = layer_forward(u[None], p, basis16, budget)[0][0]
             expected = naive_budgeted_layer(
                 u, p.mixing, p.skip, p.gate.w_in, p.gate.b_in,
                 p.gate.w_out, p.gate.b_out, p.gate.eps,
@@ -192,7 +192,7 @@ class TestLayerForward:
     def test_masked_forward_ignores_inactive_parameter_rows(self, basis16):
         rng = np.random.default_rng(7)
         p = random_layer_params(rng, width=4, gate_hidden=5, capacity=6)
-        u = rng.normal(size=(16, 4))
+        u = rng.normal(size=(1, 16, 4))
         out, _ = layer_forward(u, p, basis16, budget=3, truncation="masked")
         p.mixing[3:] = rng.normal(size=(3, 4, 4)) * 100
         p.gate.w_out[3:] = rng.normal(size=(3, 5)) * 100
@@ -203,7 +203,7 @@ class TestLayerForward:
     def test_direct_forward_does_read_inactive_gate_rows(self, basis16):
         rng = np.random.default_rng(8)
         p = random_layer_params(rng, width=4, gate_hidden=5, capacity=6)
-        u = rng.normal(size=(16, 4))
+        u = rng.normal(size=(1, 16, 4))
         out, _ = layer_forward(u, p, basis16, budget=3, truncation="direct")
         p.gate.b_out[3:] += 5.0  # shifts the full-capacity softmax
         out2, _ = layer_forward(u, p, basis16, budget=3, truncation="direct")
@@ -220,7 +220,7 @@ class TestLayerForward:
     def test_direct_mode_drops_mass_without_renormalizing(self, basis16):
         rng = np.random.default_rng(10)
         p = random_layer_params(rng, width=3, gate_hidden=4, capacity=6)
-        u = rng.normal(size=(16, 3))
+        u = rng.normal(size=(1, 16, 3))
         _, cache = layer_forward(u, p, basis16, budget=3, truncation="direct")
         sums = cache.weights.sum(axis=-1)
         assert np.all(sums < 1.0)
@@ -231,7 +231,7 @@ class TestLayerForward:
     def test_gate_disabled_unit_weights(self, basis16):
         rng = np.random.default_rng(11)
         p = random_layer_params(rng, width=3, gate_hidden=4, capacity=6)
-        u = rng.normal(size=(16, 3))
+        u = rng.normal(size=(1, 16, 3))
         out, cache = layer_forward(u, p, basis16, budget=3, gate_enabled=False)
         assert np.all(cache.weights == 1.0)
         feats = cache.features
@@ -243,33 +243,34 @@ class TestLayerForward:
     def test_causality(self, basis16):
         rng = np.random.default_rng(12)
         p = random_layer_params(rng, width=3, gate_hidden=4, capacity=6)
-        u = rng.normal(size=(16, 3))
+        u = rng.normal(size=(1, 16, 3))
         out, _ = layer_forward(u, p, basis16, budget=3)
         u2 = u.copy()
-        u2[9:] += rng.normal(size=(7, 3))
+        u2[0, 9:] += rng.normal(size=(7, 3))
         out2, _ = layer_forward(u2, p, basis16, budget=3)
-        scale = np.abs(out[:9]).max()
-        np.testing.assert_allclose(out2[:9], out[:9], atol=1e-9 * (1 + scale))
+        scale = np.abs(out[0, :9]).max()
+        np.testing.assert_allclose(out2[0, :9], out[0, :9], atol=1e-9 * (1 + scale))
 
     def test_single_matches_batch(self, basis16):
         rng = np.random.default_rng(13)
         p = random_layer_params(rng, width=3, gate_hidden=4, capacity=6)
-        u = rng.normal(size=(16, 3))
-        single, _ = layer_forward(u, p, basis16, budget=2)
-        batched, _ = layer_forward(u[None], p, basis16, budget=2)
-        assert np.array_equal(single, batched[0])
+        u = rng.normal(size=(3, 16, 3))
+        batched, _ = layer_forward(u, p, basis16, budget=2)
+        for b in range(3):
+            single, _ = layer_forward(u[b:b + 1], p, basis16, budget=2)
+            assert np.array_equal(single[0], batched[b])
 
     def test_budget_one_rejected_with_dedicated_message(self, basis16):
         rng = np.random.default_rng(14)
         p = random_layer_params(rng, width=3, gate_hidden=4, capacity=6)
-        u = rng.normal(size=(16, 3))
+        u = rng.normal(size=(1, 16, 3))
         with pytest.raises(BudgetError, match="budget 1"):
             layer_forward(u, p, basis16, budget=1)
 
     def test_budget_bounds_rejected(self, basis16):
         rng = np.random.default_rng(15)
         p = random_layer_params(rng, width=3, gate_hidden=4, capacity=6)
-        u = rng.normal(size=(16, 3))
+        u = rng.normal(size=(1, 16, 3))
         for bad in (0, -2, 7):
             with pytest.raises(BudgetError):
                 layer_forward(u, p, basis16, budget=bad)
@@ -278,19 +279,12 @@ class TestLayerForward:
         rng = np.random.default_rng(16)
         p = random_layer_params(rng, width=3, gate_hidden=4, capacity=6)
         with pytest.raises(StructuralError):  # wrong length
-            layer_forward(rng.normal(size=(8, 3)), p, basis16, budget=2)
+            layer_forward(rng.normal(size=(1, 8, 3)), p, basis16, budget=2)
         with pytest.raises(StructuralError):  # wrong width
-            layer_forward(rng.normal(size=(16, 5)), p, basis16, budget=2)
+            layer_forward(rng.normal(size=(1, 16, 5)), p, basis16, budget=2)
         p5 = random_layer_params(rng, width=3, gate_hidden=4, capacity=5)
         with pytest.raises(StructuralError):  # capacity mismatch with basis
-            layer_forward(rng.normal(size=(16, 3)), p5, basis16, budget=2)
-
-    def test_cache_reports_flops(self, basis16):
-        rng = np.random.default_rng(17)
-        p = random_layer_params(rng, width=3, gate_hidden=4, capacity=6)
-        u = rng.normal(size=(5, 16, 3))
-        _, cache = layer_forward(u, p, basis16, budget=3)
-        assert cache.flops == layer_flop_count(16, 3, 4, 6, 3, batch=5)
+            layer_forward(rng.normal(size=(1, 16, 3)), p5, basis16, budget=2)
 
 
 class TestLayerFlopCount:

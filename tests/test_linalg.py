@@ -5,7 +5,6 @@ import pytest
 
 from elastic_ssm.errors import StructuralError
 from elastic_ssm.linalg import (
-    fft_causal_conv,
     fft_causal_conv_bank,
     fft_causal_conv_bank_adjoint,
     next_pow2,
@@ -115,6 +114,11 @@ class TestDirectCausalConv:
             direct_causal_conv(np.ones(4), np.ones((5, 2)))
 
 
+def conv_one(filt, signal):
+    """One filter against one (L, d) sequence: the bank at K = B = 1."""
+    return fft_causal_conv_bank(np.asarray(filt)[None], np.asarray(signal)[None])[0, 0]
+
+
 class TestFftCausalConv:
     def test_matches_direct_on_200_random_instances(self):
         rng = np.random.default_rng(3)
@@ -123,29 +127,29 @@ class TestFftCausalConv:
             d = int(rng.integers(1, 4))
             f = rng.normal(size=length)
             s = rng.normal(size=(length, d))
-            got = fft_causal_conv(f, s)
+            got = conv_one(f, s)
             want = direct_causal_conv(f, s)
             bound = 1e-6 * (1.0 + np.max(np.abs(want)))
             assert np.max(np.abs(got - want)) <= bound, f"trial {trial}"
 
     def test_degenerate_length_one(self):
-        out = fft_causal_conv(np.array([2.5]), np.array([[3.0]]))
+        out = conv_one(np.array([2.5]), np.array([[3.0]]))
         np.testing.assert_allclose(out, [[7.5]])
 
     def test_zero_signal(self):
-        out = fft_causal_conv(np.ones(8), np.zeros((8, 2)))
+        out = conv_one(np.ones(8), np.zeros((8, 2)))
         np.testing.assert_allclose(out, 0.0)
 
     def test_causality_perturbation(self):
         rng = np.random.default_rng(4)
         f = rng.normal(size=16)
         s = rng.normal(size=(16, 2))
-        base_fft = fft_causal_conv(f, s)
+        base_fft = conv_one(f, s)
         base_direct = direct_causal_conv(f, s)
         t0 = 9
         s2 = s.copy()
         s2[t0] += 5.0
-        np.testing.assert_allclose(fft_causal_conv(f, s2)[:t0], base_fft[:t0], atol=1e-12)
+        np.testing.assert_allclose(conv_one(f, s2)[:t0], base_fft[:t0], atol=1e-12)
         np.testing.assert_allclose(
             direct_causal_conv(f, s2)[:t0], base_direct[:t0], atol=0
         )
@@ -153,10 +157,10 @@ class TestFftCausalConv:
     def test_bank_matches_single_filter_calls(self):
         rng = np.random.default_rng(5)
         filters = rng.normal(size=(4, 10))
-        s = rng.normal(size=(10, 3))
+        s = rng.normal(size=(1, 10, 3))
         bank = fft_causal_conv_bank(filters, s)
         for k in range(4):
-            np.testing.assert_allclose(bank[k], fft_causal_conv(filters[k], s), atol=1e-12)
+            np.testing.assert_allclose(bank[0, k], conv_one(filters[k], s[0]), atol=1e-12)
 
     def test_bank_batched_matches_loop(self):
         rng = np.random.default_rng(6)
@@ -165,14 +169,15 @@ class TestFftCausalConv:
         batched = fft_causal_conv_bank(filters, s)
         assert batched.shape == (5, 3, 7, 2)
         for b in range(5):
-            np.testing.assert_allclose(batched[b], fft_causal_conv_bank(filters, s[b]))
+            alone = fft_causal_conv_bank(filters, s[b:b + 1])
+            np.testing.assert_allclose(batched[b], alone[0])
 
     def test_adjoint_dot_product_identity(self):
         # <conv(f, x), y> == <x, adjoint(f, y)> for every filter in the bank
         rng = np.random.default_rng(8)
         filters = rng.normal(size=(3, 9))
-        x = rng.normal(size=(9, 2))
-        y = rng.normal(size=(3, 9, 2))
+        x = rng.normal(size=(2, 9, 2))
+        y = rng.normal(size=(2, 3, 9, 2))
         fwd = fft_causal_conv_bank(filters, x)
         lhs = float(np.sum(fwd * y))
         rhs = float(np.sum(x * fft_causal_conv_bank_adjoint(filters, y)))

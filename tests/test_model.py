@@ -27,6 +27,7 @@ from elastic_ssm.model import (
     save_checkpoint,
 )
 from elastic_ssm.layer import layer_forward
+from elastic_ssm.linalg import fft_causal_conv_bank, fft_causal_conv_bank_adjoint
 from elastic_ssm.storage import Writer
 from elastic_ssm.sweep import budget_sweep, run_ablation
 from elastic_ssm.tasks import evaluate_model
@@ -160,18 +161,18 @@ class TestModelForward:
         p = init_model_params(cfg)
         rng = np.random.default_rng(3)
         tokens = rng.integers(0, 11, size=(4, 16))
-        out, cache = model_forward(tokens, p, cfg, basis16, budget=3)
+        out, _ = model_forward(tokens, p, cfg, basis16, budget=3)
         assert out.shape == (4, 16, 11)
-        assert cache.flops > 0
 
-    def test_single_sequence_squeeze(self, basis16):
+    def test_sequence_alone_matches_its_batch_row(self, basis16):
         cfg = small_config()
         p = init_model_params(cfg)
         rng = np.random.default_rng(4)
         tokens = rng.integers(0, 11, size=(2, 16))
         batch, _ = model_forward(tokens, p, cfg, basis16, budget=3)
-        single, _ = model_forward(tokens[0], p, cfg, basis16, budget=3)
-        assert np.array_equal(single, batch[0])
+        for b in range(2):
+            alone, _ = model_forward(tokens[b:b + 1], p, cfg, basis16, budget=3)
+            assert np.array_equal(alone[0], batch[b])
 
     def test_deterministic(self, basis16):
         cfg = small_config()
@@ -228,12 +229,33 @@ class TestModelForward:
         normed, _ = layer_norm_forward(x, p.final_gain, p.final_bias)
         np.testing.assert_allclose(out, normed @ p.readout_w.T + p.readout_b, rtol=1e-12)
 
-    def test_flops_sum_over_blocks(self, basis16):
-        cfg = small_config()
-        p = init_model_params(cfg)
-        tokens = np.zeros((3, 16), dtype=int)
-        _, cache = model_forward(tokens, p, cfg, basis16, budget=3)
-        assert cache.flops == sum(lc.flops for lc in cache.layer_caches)
+
+class TestOneLayout:
+    """Sequences come as a batch; an unbatched input is an error, not a
+    second layout."""
+
+    @staticmethod
+    def calls(basis16):
+        filters = basis16.scaled_filters[:2]
+        tokens, reals = small_config(), small_config(input_kind="real", in_dim=3)
+        lp = init_model_params(tokens).blocks[0].layer
+        return {
+            "conv_bank": lambda: fft_causal_conv_bank(filters, np.ones((16, 3))),
+            "conv_adjoint": lambda: fft_causal_conv_bank_adjoint(filters, np.ones((2, 16, 3))),
+            "layer_forward": lambda: layer_forward(np.ones((16, 6)), lp, basis16, 2),
+            "model_forward_tokens": lambda: model_forward(
+                np.zeros(16, dtype=int), init_model_params(tokens), tokens, basis16, 2),
+            "model_forward_reals": lambda: model_forward(
+                np.ones((16, 3)), init_model_params(reals), reals, basis16, 2),
+        }
+
+    @pytest.mark.parametrize("name", [
+        "conv_bank", "conv_adjoint", "layer_forward",
+        "model_forward_tokens", "model_forward_reals",
+    ])
+    def test_unbatched_input_rejected(self, basis16, name):
+        with pytest.raises(StructuralError):
+            self.calls(basis16)[name]()
 
 
 class TestForwardModeFromConfig:
@@ -246,7 +268,7 @@ class TestForwardModeFromConfig:
         cfg = small_config(depth=1, **overrides)
         p = init_model_params(cfg)
         tokens = np.arange(16)[None] % 11
-        _, cache = model_forward(tokens, p, cfg, basis16, budget=3)
+        out, cache = model_forward(tokens, p, cfg, basis16, budget=3)
         (lcache,) = cache.layer_caches
         assert lcache.gate_enabled == cfg.gate_enabled
         assert lcache.truncation == cfg.truncation_mode
@@ -256,7 +278,8 @@ class TestForwardModeFromConfig:
         y, _ = layer_forward(normed, p.blocks[0].layer, basis16, 3,
                              gate_enabled=cfg.gate_enabled,
                              truncation=cfg.truncation_mode)
-        assert np.array_equal(cache.final_input, p.embed_table[tokens] + y)
+        features, _ = layer_norm_forward(p.embed_table[tokens] + y, p.final_gain, p.final_bias)
+        assert np.array_equal(out, features @ p.readout_w.T + p.readout_b)
 
     def test_no_per_call_mode_switches(self):
         def names(fn):
@@ -264,9 +287,9 @@ class TestForwardModeFromConfig:
 
         assert names(model_forward) == ["inputs", "params", "config", "basis", "budget"]
         assert names(evaluate_model) == [
-            "params", "config", "basis", "dataset", "budget", "split", "batch_size"]
+            "params", "config", "basis", "dataset", "budget", "split"]
         assert names(budget_sweep) == [
-            "params", "config", "basis", "dataset", "budgets", "split", "batch_size"]
+            "params", "config", "basis", "dataset", "budgets", "split"]
         assert names(model_loss_fn) == [
             "inputs", "targets", "config", "basis", "budget", "mask"]
         assert names(run_ablation) == ["base", "variants", "budgets", "out_dir"]
@@ -285,7 +308,7 @@ class TestForwardModeFromConfig:
                     takes_mode.add(name)
                 hidden += [f"{name}({q.name})" for q in params
                            if q.name.startswith("_") or q.kind is q.VAR_KEYWORD]
-        assert takes_mode == {"layer_forward", "bibo_audit"}
+        assert takes_mode == {"layer_forward", "bibo_audit", "bibo_constant"}
         assert hidden == []
 
 

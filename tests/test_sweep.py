@@ -279,10 +279,10 @@ class TestBiboAudit:
         p.mixing[:] = 0.0
         p.skip[:] = np.random.default_rng(2).normal(size=p.skip.shape)
         _, s, vt = np.linalg.svd(p.skip)
-        u = np.zeros((cfg.seq_len, cfg.width))
-        u[3] = vt[0]  # unit input aligned with the top singular direction
+        u = np.zeros((1, cfg.seq_len, cfg.width))
+        u[0, 3] = vt[0]  # unit input aligned with the top singular direction
         out, _ = layer_forward(u, p, basis, cfg.capacity, gate_enabled=True)
-        assert np.linalg.norm(out[3]) == pytest.approx(s[0], rel=1e-9)
+        assert np.linalg.norm(out[0, 3]) == pytest.approx(s[0], rel=1e-9)
         report = bibo_audit(p, basis, n_trials=10, seed=4)
         assert report["passed"]
 
@@ -318,15 +318,15 @@ class TestBiboAudit:
         basis = build_basis(cfg.seq_len, cfg.capacity)
         p = init_model_params(cfg).blocks[0].layer
         rng = np.random.default_rng(12)
-        u = rng.normal(size=(cfg.seq_len, cfg.width))
+        u = rng.normal(size=(1, cfg.seq_len, cfg.width))
         c = 3.7
         out, _ = layer_forward(u, p, basis, 3, gate_enabled=False,
                                truncation="direct")
         scaled, _ = layer_forward(c * u, p, basis, 3, gate_enabled=False,
                                   truncation="direct")
         np.testing.assert_allclose(scaled, c * out, rtol=1e-12, atol=1e-12)
-        sup = float(np.max(np.linalg.norm(u, axis=1)))
-        assert float(np.max(np.linalg.norm(c * u, axis=1))) == pytest.approx(
+        sup = float(np.max(np.linalg.norm(u, axis=-1)))
+        assert float(np.max(np.linalg.norm(c * u, axis=-1))) == pytest.approx(
             c * sup, rel=1e-12
         )
 
@@ -368,6 +368,39 @@ class TestBiboAudit:
             direct = bibo_audit(params.blocks[i].layer, basis, n_trials=5,
                                 seed=3 + i, truncation="direct")
             assert block == dict(direct, block=i)
+
+    def test_conv_term_is_max_with_gate_and_sum_without(self):
+        cfg = small_config()
+        basis = build_basis(cfg.seq_len, cfg.capacity)
+        p = init_model_params(cfg).blocks[0].layer
+        gated, ungated = bibo_constant(p, basis), bibo_constant(p, basis, gate_enabled=False)
+        assert gated["per_channel"] == ungated["per_channel"]
+        assert gated["conv_term"] == max(gated["per_channel"])
+        assert ungated["conv_term"] == sum(ungated["per_channel"])
+        for k, term in enumerate(gated["per_channel"]):
+            assert term == (np.linalg.norm(p.mixing[k], 2)
+                            * np.sum(np.abs(basis.scaled_filters[k])))
+
+    def test_gate_off_audit_bounds_the_layer_the_model_runs(self):
+        """A gate-off model weights every active channel by 1; its audited
+        constant must bound that layer on its worst constant-direction input."""
+        cfg = small_config(seq_len=64, capacity=16, budget_set=(2, 4, 8, 16),
+                           gate_enabled=False, truncation_mode="direct", seed=0)
+        basis = build_basis(cfg.seq_len, cfg.capacity)
+        params = init_model_params(cfg)
+        p = params.blocks[0].layer
+        report = model_bibo_audit(params, cfg, basis, n_trials=5)
+        assert report["passed"]
+        constant = report["blocks"][0]["constant"]
+        # for u(t) = v, y(t) = (skip + sum_k cumsum(filter_k)[t] * M_k) @ v
+        taps = np.cumsum(basis.scaled_filters, axis=1)  # (capacity, L)
+        maps = p.skip + np.einsum("kt,kef->tef", taps, p.mixing)
+        t = int(np.argmax(np.linalg.norm(maps, 2, axis=(1, 2))))
+        v = np.linalg.svd(maps[t])[2][0]
+        u = np.broadcast_to(v, (1, cfg.seq_len, cfg.width))
+        out, _ = layer_forward(u, p, basis, cfg.capacity, gate_enabled=False,
+                               truncation=cfg.truncation_mode)
+        assert np.linalg.norm(out[0, t]) <= constant * (1.0 + 1e-9)
 
     def test_trained_checkpoint_no_violations(self, trained_copy):
         run, result = trained_copy

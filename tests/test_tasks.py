@@ -6,13 +6,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from elastic_ssm import tasks
 from elastic_ssm.basis import build_basis
 from elastic_ssm.config import ModelConfig, TaskSpec
 from elastic_ssm.errors import ArtifactError, ConfigError, NumericError
 from elastic_ssm.model import init_model_params
 from elastic_ssm.tasks import (
     BYTE_EVAL_FRAC,
-    DATASET_MAGIC,
     Dataset,
     SyntheticLDS,
     bpb_metric,
@@ -22,9 +22,7 @@ from elastic_ssm.tasks import (
     gen_byte_lm,
     gen_copy_task,
     gen_lds_teacher,
-    load_dataset,
     required_model_fields,
-    save_dataset,
 )
 
 from oracles import recurrent_lds_unroll
@@ -402,16 +400,50 @@ class TestEvaluateModel:
         assert report["ppl"] == pytest.approx(2.0 ** report["bpb"], rel=1e-12)
         assert report["metric"] == report["bpb"]
 
-    def test_batching_does_not_change_result(self):
+    @staticmethod
+    def batch_sizes(monkeypatch, forward=tasks.model_forward):
+        """Record the batch of every forward that ``evaluate_model`` runs."""
+        sizes = []
+
+        def spy(inputs, *args):
+            sizes.append(len(inputs))
+            return forward(inputs, *args)
+
+        monkeypatch.setattr(tasks, "model_forward", spy)
+        return sizes
+
+    def test_batching_does_not_change_result(self, monkeypatch):
         # weighted accumulation: chopping the eval set into uneven batches
         # must reproduce the single-batch numbers
         params, config, basis, dataset = small_setup("copy")
-        whole = evaluate_model(params, config, basis, dataset, budget=4,
-                               batch_size=64)
-        pieces = evaluate_model(params, config, basis, dataset, budget=4,
-                                batch_size=5)
+        sizes = self.batch_sizes(monkeypatch)
+        whole = evaluate_model(params, config, basis, dataset, budget=4)
+        assert sizes == [8]
+        features = config.depth * 4 * config.seq_len * config.width * 8
+        monkeypatch.setattr(tasks, "EVAL_FEATURE_BYTES", 5 * features + 7)
+        sizes.clear()
+        pieces = evaluate_model(params, config, basis, dataset, budget=4)
+        assert sizes == [5, 3]
         assert pieces["loss"] == pytest.approx(whole["loss"], rel=1e-12)
         assert pieces["accuracy"] == whole["accuracy"]
+
+    @pytest.mark.parametrize("seq_len,width,depth,capacity,n_eval", [
+        (256, 64, 2, 32, 32),  # desk-scale elasticity criterion (desk-lds: 8)
+        (1024, 256, 1, 32, 1),  # reference geometry benchmark
+        (32, 16, 1, 8, 24),  # desk-scale ablation criterion (copy-small: 16)
+    ])
+    def test_desk_and_benchmark_eval_sets_run_in_one_batch(
+            self, monkeypatch, seq_len, width, depth, capacity, n_eval):
+        config = ModelConfig(seq_len=seq_len, width=width, gate_hidden=4,
+                             capacity=capacity, depth=depth, input_kind="real",
+                             in_dim=1, out_dim=1, budget_set=(2, capacity))
+        zeros = np.zeros((n_eval, seq_len, 1))
+        dataset = Dataset("lds-regression", zeros[:1], zeros[:1], None, zeros,
+                          zeros, None, "mse", "mse", False)
+        sizes = self.batch_sizes(
+            monkeypatch, lambda inputs, *args: (np.zeros(inputs.shape), None))
+        evaluate_model(None, config, None, dataset, budget=capacity)
+        assert sizes == [n_eval]
 
     def test_untrained_copy_accuracy_near_chance(self):
         params, config, basis, dataset = small_setup("copy")
@@ -445,81 +477,3 @@ class TestEvaluateModel:
                                 basis, dataset, budget=2)
         assert gated["loss"] != ungated["loss"]
         assert gated["loss"] != direct["loss"]
-
-
-# ---------------------------------------------------------------------------
-# dataset container
-# ---------------------------------------------------------------------------
-
-
-class TestDatasetContainer:
-    @pytest.mark.parametrize("kind", ["copy", "lds-regression", "byte-lm"])
-    def test_round_trip(self, kind, tmp_path):
-        if kind == "copy":
-            ds = gen_copy_task(seed=0, seq_len=12, n_symbols=6, delay=2,
-                               n_samples=10)
-        elif kind == "lds-regression":
-            _, ds = gen_lds_teacher(seed=0, state_dim=4, data_dim=2,
-                                    rho_max=0.9, seq_len=12, n_samples=10)
-        else:
-            path = tmp_path / "c.bin"
-            path.write_bytes(bytes(range(256)) * 4)
-            ds = gen_byte_lm(path, seq_len=12, n_samples=10)
-        out = tmp_path / "ds.esds"
-        save_dataset(out, ds)
-        back = load_dataset(out)
-        assert back.kind == ds.kind
-        assert back.loss == ds.loss
-        assert back.metric_name == ds.metric_name
-        assert back.higher_better == ds.higher_better
-        for name in ("inputs", "targets", "mask", "eval_inputs",
-                     "eval_targets", "eval_mask"):
-            a, b = getattr(ds, name), getattr(back, name)
-            if a is None:
-                assert b is None
-            else:
-                assert b.dtype == a.dtype
-                np.testing.assert_array_equal(a, b)
-        assert back.meta == ds.meta
-
-    def test_magic(self, tmp_path):
-        ds = gen_copy_task(seed=0, seq_len=8, n_symbols=4, delay=1,
-                           n_samples=4)
-        out = tmp_path / "ds.esds"
-        save_dataset(out, ds)
-        assert out.read_bytes()[:4] == DATASET_MAGIC
-
-    def test_corruption_detected(self, tmp_path):
-        ds = gen_copy_task(seed=0, seq_len=8, n_symbols=4, delay=1,
-                           n_samples=4)
-        out = tmp_path / "ds.esds"
-        save_dataset(out, ds)
-        blob = bytearray(out.read_bytes())
-        blob[len(blob) // 2] ^= 0xFF
-        out.write_bytes(bytes(blob))
-        with pytest.raises(ArtifactError):
-            load_dataset(out)
-
-    def test_truncation_detected(self, tmp_path):
-        ds = gen_copy_task(seed=0, seq_len=8, n_symbols=4, delay=1,
-                           n_samples=4)
-        out = tmp_path / "ds.esds"
-        save_dataset(out, ds)
-        out.write_bytes(out.read_bytes()[:-9])
-        with pytest.raises(ArtifactError):
-            load_dataset(out)
-
-    def test_wrong_magic_detected(self, tmp_path):
-        ds = gen_copy_task(seed=0, seq_len=8, n_symbols=4, delay=1,
-                           n_samples=4)
-        out = tmp_path / "ds.esds"
-        save_dataset(out, ds)
-        blob = bytearray(out.read_bytes())
-        blob[:4] = b"XXXX"
-        out.write_bytes(bytes(blob))
-        with pytest.raises(ArtifactError):
-            load_dataset(out)
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises((ArtifactError, FileNotFoundError)):
-            load_dataset(tmp_path / "absent.esds")
