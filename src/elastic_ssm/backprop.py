@@ -30,7 +30,7 @@ from scipy.special import erf
 
 from .errors import NumericError, StructuralError
 from .layer import GateParams, LayerCache, LayerParams
-from .linalg import fft_causal_conv_bank_adjoint
+from .linalg import fft_causal_conv_bank, fft_causal_conv_bank_adjoint
 from .model import (
     ModelCache,
     flatten_params,
@@ -187,6 +187,8 @@ def layer_backward(
     the gate's output layer are bitwise zero.  Direct-mode truncation routes
     gradient through the full-capacity softmax, so every gate row is live
     there (mixing rows >= budget stay zero: the forward never reads them).
+    The ``(B, K, L, d)`` spectral features are recomputed from ``cache.u``
+    by the forward's own convolution call, so the cache holds none.
     """
     p = cache.params
     budget = cache.budget
@@ -198,12 +200,13 @@ def layer_backward(
         )
     g = _zeros_like_layer(p) if out is None else out
 
-    # out = u @ skip.T + einsum("bklf,kef->ble", features * w, mixing[:K])
+    # out = u @ skip.T + sum_k (features[:, k] * w[..., k]) @ mixing[k].T
     g.skip[...] = np.einsum("ble,blf->ef", dout, cache.u)
     du = dout @ p.skip
 
+    features = fft_causal_conv_bank(cache.basis.scaled_filters[:budget], cache.u)
     weights_t = np.swapaxes(cache.weights, 1, 2)[..., None]  # (B, K, L, 1)
-    weighted = cache.features * weights_t
+    weighted = features * weights_t
     # BLAS matmuls: np.einsum runs these two contractions 5-15x slower
     g.mixing[:budget] = sum(np.matmul(d.T, w) for d, w in zip(dout, weighted))
     dweighted = np.matmul(dout[:, None], p.mixing[:budget])  # (B, K, L, d)
@@ -215,7 +218,7 @@ def layer_backward(
     if cache.gate_enabled:
         # (B, K, L) -> (B, L, K) gradient wrt the mixture weights
         dweights = np.swapaxes(
-            np.einsum("bklf,bklf->bkl", dweighted, cache.features), 1, 2
+            np.einsum("bklf,bklf->bkl", dweighted, features), 1, 2
         )
         if cache.truncation == "masked":
             dscaled = _softmax_vjp(cache.weights, dweights)

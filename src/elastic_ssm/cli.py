@@ -262,22 +262,18 @@ def _model_config_from_flags(args, **overrides) -> ModelConfig:
         width=args.width,
         gate_hidden=args.gate_hidden,
         capacity=args.capacity,
-        depth=args.depth,
         input_kind="real",
         in_dim=3,
         out_dim=3,
         vocab_size=None,
-        seed=args.seed,
+        budget_set=tuple(k for k in DEFAULT_BUDGET_SET if k <= args.capacity),
     )
     kw.update(overrides)
-    kw.setdefault(
-        "budget_set", tuple(k for k in DEFAULT_BUDGET_SET if k <= kw["capacity"])
-    )
     return ModelConfig(**kw)
 
 
 def cmd_gradcheck(args) -> int:
-    config = _model_config_from_flags(args)
+    config = _model_config_from_flags(args, depth=args.depth, seed=args.seed)
     basis, _ = get_or_build_basis(config.seq_len, config.capacity, args.cache_dir)
     params = init_model_params(config)
     budgets = (
@@ -330,7 +326,7 @@ def cmd_audit(args) -> int:
         params, config = load_checkpoint(args.checkpoint)
         source = f"checkpoint {args.checkpoint}"
     else:
-        config = _model_config_from_flags(args)
+        config = _model_config_from_flags(args, depth=args.depth, seed=args.seed)
         params = init_model_params(config)
         source = f"random initialization (seed {config.seed})"
     basis, _ = get_or_build_basis(config.seq_len, config.capacity, args.cache_dir)
@@ -463,13 +459,17 @@ def cmd_flops(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_tiny_model_flags(p: argparse.ArgumentParser, *, seq_len, width,
-                          gate_hidden, capacity, depth=1) -> None:
+def _add_geometry_flags(p: argparse.ArgumentParser, *, seq_len, width,
+                        gate_hidden, capacity) -> None:
     p.add_argument("--seq-len", type=int, default=seq_len)
     p.add_argument("--width", type=int, default=width)
     p.add_argument("--gate-hidden", type=int, default=gate_hidden)
     p.add_argument("--capacity", type=int, default=capacity)
-    p.add_argument("--depth", type=int, default=depth)
+
+
+def _add_tiny_model_flags(p: argparse.ArgumentParser, **geometry) -> None:
+    _add_geometry_flags(p, **geometry)
+    p.add_argument("--depth", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cache-dir", default=None,
                    help="basis cache directory (default: ESSM_CACHE_DIR or "
@@ -553,8 +553,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("flops", help="per-layer FLOP accounting by budget")
-    _add_tiny_model_flags(p, seq_len=1024, width=256, gate_hidden=256,
-                          capacity=32)
+    _add_geometry_flags(p, seq_len=1024, width=256, gate_hidden=256,
+                        capacity=32)
     p.add_argument("--budgets", default=None,
                    help="budgets to tabulate (default: the standard grid "
                         "up to the capacity)")

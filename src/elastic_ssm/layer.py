@@ -216,13 +216,13 @@ def layer_flop_count(
 
 @dataclass
 class LayerCache:
-    """Forward activations retained for the analytic backward pass."""
+    """Forward activations for the backward pass, each (B, L, ...); the
+    backward recomputes the (B, K, L, d) spectral features from ``u``."""
 
     u: np.ndarray  # (B, L, d) layer input
     budget: int
     gate_enabled: bool
     truncation: str
-    features: np.ndarray  # (B, K, L, d) scaled-filter convolutions
     pre: Optional[np.ndarray]  # (B, L, d_g) gate pre-activations
     hidden: Optional[np.ndarray]  # (B, L, d_g) gate hidden (post GELU)
     logits: Optional[np.ndarray]  # (B, L, capacity) gate logits
@@ -295,7 +295,9 @@ def layer_forward(
         weights = np.ones(u.shape[:2] + (budget,), dtype=u.dtype)
 
     weighted = features * np.swapaxes(weights, 1, 2)[..., None]  # (B,K,L,d)
-    spectral = np.einsum("bklf,kef->ble", weighted, p.mixing[:budget])
+    del features  # a view of the conv's (B, K, 2L, d) buffer: free it now
+    # broadcast BLAS matmul, as in the backward: np.einsum is ~5x slower here
+    spectral = np.matmul(weighted, np.swapaxes(p.mixing[:budget], 1, 2)).sum(axis=1)
     out = u @ p.skip.T + spectral
 
     cache = LayerCache(
@@ -303,7 +305,6 @@ def layer_forward(
         budget=budget,
         gate_enabled=gate_enabled,
         truncation=truncation,
-        features=features,
         pre=pre,
         hidden=hidden,
         logits=logits,

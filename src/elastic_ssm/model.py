@@ -41,7 +41,6 @@ __all__ = [
     "layer_param_arrays",
     "load_checkpoint",
     "model_forward",
-    "param_order",
     "param_schema",
     "params_from_arrays",
     "rms_norm_forward",
@@ -162,11 +161,6 @@ def param_schema(config: ModelConfig) -> tuple[ParamSpec, ...]:
         ParamSpec("readout.w", ("readout_w",), (config.out_dim, d), _fan_in(d)),
         ParamSpec("readout.b", ("readout_b",), (config.out_dim,), _ZEROS),
     )
-
-
-def param_order(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
-    """Declaration order of (name, shape) for every parameter tensor."""
-    return [(s.name, s.shape) for s in param_schema(config)]
 
 
 def _lookup(obj, path: tuple):

@@ -37,8 +37,9 @@ __all__ = [
 BYTE_EVAL_FRAC = 0.05
 #: Synthetic tasks draw one extra eval sequence per this many train samples.
 SYNTH_EVAL_DIVISOR = 8
-#: Bytes of spectral features (depth x B x K x L x d float64) that one
-#: evaluation batch may keep alive; the batch is the largest that fits.
+#: Bytes of one layer's (B, K, L, d) float64 spectral features that an eval
+#: batch may hold: no layer keeps them past its call, so depth does not enter.
+#: The transient peak, inside the FFT convolution, is about 4.2x this.
 EVAL_FEATURE_BYTES = 2**28
 
 
@@ -366,8 +367,8 @@ def evaluate_model(
     Returns {"loss", "metric_name", "metric", "higher_better", ...} with
     task extras (mse / accuracy / nll, bpb, ppl).  Never mutates params.
     The gate and truncation mode are the config's (see ``model_forward``).
-    Sequences run in the largest batches whose spectral features at this
-    budget fit ``EVAL_FEATURE_BYTES``.
+    Sequences run in the largest batches whose spectral features in one
+    layer at this budget fit ``EVAL_FEATURE_BYTES``, whatever the depth.
     """
     if split == "eval":
         inputs, targets, mask = dataset.eval_inputs, dataset.eval_targets, dataset.eval_mask
@@ -380,7 +381,7 @@ def evaluate_model(
     total_weight = 0
     correct = 0
     counted = 0
-    per_sequence = config.depth * budget * config.seq_len * config.width * 8
+    per_sequence = budget * config.seq_len * config.width * 8
     batch_size = max(1, EVAL_FEATURE_BYTES // per_sequence)
     for start in range(0, inputs.shape[0], batch_size):
         stop = min(start + batch_size, inputs.shape[0])

@@ -13,10 +13,9 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from elastic_ssm.backprop import finite_diff_check, model_loss_fn
-from elastic_ssm.basis import build_basis, hankel_matrix
+from elastic_ssm.basis import build_basis
 from elastic_ssm.config import ModelConfig, RunConfig, TaskSpec, TrainConfig
 from elastic_ssm.layer import (
     gate_logits,

@@ -3,7 +3,6 @@
 import json
 import time
 
-import numpy as np
 import pytest
 
 from elastic_ssm.cli import main, parse_budget_list
@@ -334,6 +333,30 @@ class TestFlopsCommand:
         for k in doc["budgets"]:
             assert doc["flops"][str(k)] == base + k * unit
         assert "affine" in capsys.readouterr().out
+
+    def test_default_geometry_report_is_frozen(self, tmp_path):
+        # the reference geometry's table, recorded when flops still parsed
+        # --depth, --seed and --cache-dir: dropping them changes no number
+        report = tmp_path / "flops.json"
+        assert main(["flops", "--out", str(report)]) == 0
+        base, unit = 145227776, 69731328
+        budgets = [2, 3, 4, 6, 8, 12, 16, 24, 32]
+        assert json.loads(report.read_text()) == {
+            "seq_len": 1024, "width": 256, "gate_hidden": 256, "capacity": 32,
+            "batch": 1, "budgets": budgets,
+            "flops": {str(k): base + k * unit for k in budgets},
+            "budget_independent": base, "per_budget_unit": unit,
+            "expected_budget": 107 / 9, "training_cost_ratio": 9.0,
+        }
+
+    @pytest.mark.parametrize("flag", [
+        ["--depth", "2"], ["--seed", "1"], ["--cache-dir", "x"],
+    ])
+    def test_flags_it_never_read_are_gone(self, flag):
+        # a per-layer count needs no depth, seed or basis
+        with pytest.raises(SystemExit) as exc:
+            main(["flops", *flag])
+        assert exc.value.code == 2
 
     def test_budget_above_capacity_exits_two(self, capsys):
         code = main(["flops", "--seq-len", "64", "--width", "16",

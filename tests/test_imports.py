@@ -1,4 +1,5 @@
-"""Source hygiene: every name a package module imports is used there.
+"""Source hygiene: every name a package module, test or demo imports is
+used there.
 
 pyflakes and ruff are not dependencies, so the check parses the modules with
 ``ast``: an imported name counts as used when it appears as a name in the
@@ -10,7 +11,13 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "elastic_ssm"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "elastic_ssm"
+#: Checked files, by id: package modules by name, tests and demos by path.
+SOURCES = {p.name: p for p in PACKAGE.glob("*.py")} | {
+    p.relative_to(ROOT).as_posix(): p
+    for folder in ("tests", "demos") for p in (ROOT / folder).glob("*.py")
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -37,6 +44,6 @@ def test_the_check_sees_an_unused_import():
     assert unused_imports("from a import b\n__all__ = ['b']\n") == []
 
 
-@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+@pytest.mark.parametrize("module", sorted(SOURCES))
 def test_no_unused_imports(module):
-    assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+    assert unused_imports(SOURCES[module].read_text(encoding="utf-8")) == []

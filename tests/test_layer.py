@@ -1,5 +1,6 @@
 """Gated budgeted layer: gate arithmetic, forward semantics, invariants."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from elastic_ssm.layer import (
     masked_softmax,
     rms_rescale,
 )
+from elastic_ssm.linalg import fft_causal_conv_bank
 
 from oracles import naive_budgeted_layer, scalar_gelu
 
@@ -234,11 +236,26 @@ class TestLayerForward:
         u = rng.normal(size=(1, 16, 3))
         out, cache = layer_forward(u, p, basis16, budget=3, gate_enabled=False)
         assert np.all(cache.weights == 1.0)
-        feats = cache.features
+        feats = fft_causal_conv_bank(basis16.scaled_filters[:3], u)
         expected = u @ p.skip.T
         for k in range(3):
             expected = expected + feats[0, k] @ p.mixing[k].T
         np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("mode", [
+        {}, {"truncation": "direct"}, {"gate_enabled": False},
+    ])
+    def test_cache_holds_only_per_timestep_arrays(self, basis16, mode):
+        # nothing K-sized outlives the call: the backward recomputes features
+        rng = np.random.default_rng(14)
+        p = random_layer_params(rng, width=3, gate_hidden=4, capacity=6)
+        u = rng.normal(size=(2, 16, 3))
+        _, cache = layer_forward(u, p, basis16, budget=3, **mode)
+        arrays = {f.name: getattr(cache, f.name) for f in dataclasses.fields(cache)
+                  if isinstance(getattr(cache, f.name), np.ndarray)}
+        assert "u" in arrays and "weights" in arrays
+        for name, arr in arrays.items():
+            assert arr.shape[:2] == (2, 16), name
 
     def test_causality(self, basis16):
         rng = np.random.default_rng(12)

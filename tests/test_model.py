@@ -19,7 +19,6 @@ from elastic_ssm.model import (
     layer_param_arrays,
     load_checkpoint,
     model_forward,
-    param_order,
     param_schema,
     params_fingerprint,
     params_from_arrays,
@@ -54,7 +53,8 @@ class TestInit:
         params = init_model_params(cfg)
         for name, arr in flatten_params(params, cfg):
             assert arr.dtype == np.float64, name
-        assert [(n, a.shape) for n, a in flatten_params(params, cfg)] == param_order(cfg)
+        assert [(n, a.shape) for n, a in flatten_params(params, cfg)] == [
+            (spec.name, spec.shape) for spec in param_schema(cfg)]
 
     def test_deterministic_and_seed_sensitive(self):
         cfg = small_config()

@@ -8,7 +8,7 @@ import pytest
 
 from elastic_ssm.basis import build_basis
 from elastic_ssm.config import ModelConfig, RunConfig, TaskSpec, TrainConfig
-from elastic_ssm.errors import ConfigError, StructuralError
+from elastic_ssm.errors import ConfigError
 from elastic_ssm.layer import layer_flop_count, layer_forward
 from elastic_ssm.model import init_model_params, params_fingerprint
 from elastic_ssm.sweep import (

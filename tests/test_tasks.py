@@ -414,18 +414,24 @@ class TestEvaluateModel:
 
     def test_batching_does_not_change_result(self, monkeypatch):
         # weighted accumulation: chopping the eval set into uneven batches
-        # must reproduce the single-batch numbers
-        params, config, basis, dataset = small_setup("copy")
+        # must reproduce the single-batch numbers.  The batch counts one
+        # layer's features, so depth 2 splits the same way as depth 1.
+        _, shallow, basis, dataset = small_setup("copy")
         sizes = self.batch_sizes(monkeypatch)
-        whole = evaluate_model(params, config, basis, dataset, budget=4)
-        assert sizes == [8]
-        features = config.depth * 4 * config.seq_len * config.width * 8
-        monkeypatch.setattr(tasks, "EVAL_FEATURE_BYTES", 5 * features + 7)
-        sizes.clear()
-        pieces = evaluate_model(params, config, basis, dataset, budget=4)
-        assert sizes == [5, 3]
-        assert pieces["loss"] == pytest.approx(whole["loss"], rel=1e-12)
-        assert pieces["accuracy"] == whole["accuracy"]
+        features = 4 * shallow.seq_len * shallow.width * 8
+        for depth in (1, 2):
+            config = replace(shallow, depth=depth)
+            params = init_model_params(config)
+            sizes.clear()
+            whole = evaluate_model(params, config, basis, dataset, budget=4)
+            assert sizes == [8]
+            with monkeypatch.context() as patch:
+                patch.setattr(tasks, "EVAL_FEATURE_BYTES", 5 * features + 7)
+                sizes.clear()
+                pieces = evaluate_model(params, config, basis, dataset, budget=4)
+            assert sizes == [5, 3]
+            assert pieces["loss"] == pytest.approx(whole["loss"], rel=1e-12)
+            assert pieces["accuracy"] == whole["accuracy"]
 
     @pytest.mark.parametrize("seq_len,width,depth,capacity,n_eval", [
         (256, 64, 2, 32, 32),  # desk-scale elasticity criterion (desk-lds: 8)

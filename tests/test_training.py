@@ -15,7 +15,7 @@ from elastic_ssm.model import (
     checkpoint_span,
     flatten_params,
     init_model_params,
-    param_order,
+    param_schema,
     params_fingerprint,
     save_checkpoint,
 )
@@ -207,7 +207,7 @@ def tiny_config(**kw):
 
 
 def zero_grads(config):
-    return {name: np.zeros(shape) for name, shape in param_order(config)}
+    return {spec.name: np.zeros(spec.shape) for spec in param_schema(config)}
 
 
 class TestAdamW:
