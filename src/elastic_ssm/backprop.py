@@ -29,7 +29,7 @@ import numpy as np
 from scipy.special import erf
 
 from .errors import NumericError, StructuralError
-from .layer import GateParams, LayerCache, LayerParams
+from .layer import _INV_SQRT2, GateParams, LayerCache, LayerParams, _mixing_cat
 from .linalg import fft_causal_conv_bank, fft_causal_conv_bank_adjoint
 from .model import (
     ModelCache,
@@ -52,7 +52,6 @@ __all__ = [
 ]
 
 
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
@@ -187,7 +186,7 @@ def layer_backward(
     the gate's output layer are bitwise zero.  Direct-mode truncation routes
     gradient through the full-capacity softmax, so every gate row is live
     there (mixing rows >= budget stay zero: the forward never reads them).
-    The ``(B, K, L, d)`` spectral features are recomputed from ``cache.u``
+    The ``(B, K, d, L)`` spectral features are recomputed from ``cache.u``
     by the forward's own convolution call, so the cache holds none.
     """
     p = cache.params
@@ -200,26 +199,26 @@ def layer_backward(
         )
     g = _zeros_like_layer(p) if out is None else out
 
-    # out = u @ skip.T + sum_k (features[:, k] * w[..., k]) @ mixing[k].T
+    # out^T = skip @ u^T + M_cat @ (features * w), as the forward computes it
     g.skip[...] = np.einsum("ble,blf->ef", dout, cache.u)
     du = dout @ p.skip
 
-    features = fft_causal_conv_bank(cache.basis.scaled_filters[:budget], cache.u)
-    weights_t = np.swapaxes(cache.weights, 1, 2)[..., None]  # (B, K, L, 1)
-    weighted = features * weights_t
-    # BLAS matmuls: np.einsum runs these two contractions 5-15x slower
-    g.mixing[:budget] = sum(np.matmul(d.T, w) for d, w in zip(dout, weighted))
-    dweighted = np.matmul(dout[:, None], p.mixing[:budget])  # (B, K, L, d)
-    dfeatures = dweighted * weights_t
-    du += fft_causal_conv_bank_adjoint(
-        cache.basis.scaled_filters[:budget], dfeatures
-    )
+    filters = cache.basis.scaled_filters[:budget]
+    features = fft_causal_conv_bank(filters, cache.u)  # (B, K, d, L), time last
+    weights_t = np.swapaxes(cache.weights, 1, 2)[:, :, None, :]  # (B, K, 1, L)
+    dout_t = np.swapaxes(dout, 1, 2)  # (B, d, L)
+    m_cat = _mixing_cat(p.mixing, budget)  # (d, K*d)
+    dweighted = (m_cat.T @ dout_t).reshape(features.shape)
+    if cache.gate_enabled:  # (B, K, L) -> (B, L, K) gradient wrt the mixture weights
+        dweights = np.swapaxes(np.einsum("bkfl,bkfl->bkl", dweighted, features), 1, 2)
+    features *= weights_t  # the recomputed buffer is ours: weight it in place
+    dm_cat = sum(d @ w.reshape(m_cat.shape[1], -1).T for d, w in zip(dout_t, features))
+    g.mixing[:budget] = dm_cat.reshape(p.width, budget, p.width).transpose(1, 0, 2)
+    del features  # dweights is taken: free the buffer before the adjoint's FFT
+    dweighted *= weights_t
+    du += fft_causal_conv_bank_adjoint(filters, dweighted)
 
     if cache.gate_enabled:
-        # (B, K, L) -> (B, L, K) gradient wrt the mixture weights
-        dweights = np.swapaxes(
-            np.einsum("bklf,bklf->bkl", dweighted, features), 1, 2
-        )
         if cache.truncation == "masked":
             dscaled = _softmax_vjp(cache.weights, dweights)
             dactive = _rms_rescale_vjp(cache.logits[..., :budget], p.gate.eps, dscaled)

@@ -178,13 +178,6 @@ def masked_softmax(scaled, budget: int, capacity: int) -> np.ndarray:
     return out
 
 
-def _log2_length(length: int):
-    """log2(L), exact int when L is a power of two."""
-    if length & (length - 1) == 0:
-        return length.bit_length() - 1
-    return math.log2(length)
-
-
 def layer_flop_count(
     seq_len: int,
     width: int,
@@ -201,7 +194,8 @@ def layer_flop_count(
     capacity*d_g out), and the budget-sized softmax/weighting work.
     The count is exactly affine in the budget.
     """
-    log2l = _log2_length(seq_len)
+    # log2(L), an exact int when L is a power of two
+    log2l = seq_len.bit_length() - 1 if seq_len & (seq_len - 1) == 0 else math.log2(seq_len)
     fft_term = batch * (budget + 1) * width * seq_len * log2l
     per_step = batch * seq_len * (
         budget * width * width
@@ -217,7 +211,7 @@ def layer_flop_count(
 @dataclass
 class LayerCache:
     """Forward activations for the backward pass, each (B, L, ...); the
-    backward recomputes the (B, K, L, d) spectral features from ``u``."""
+    backward recomputes the (B, K, d, L) spectral features from ``u``."""
 
     u: np.ndarray  # (B, L, d) layer input
     budget: int
@@ -230,6 +224,11 @@ class LayerCache:
     weights_full: Optional[np.ndarray]  # (B, L, capacity) gate output, zero past K when masked
     params: LayerParams = field(repr=False)
     basis: SpectralBasis = field(repr=False)
+
+
+def _mixing_cat(mixing: np.ndarray, budget: int) -> np.ndarray:
+    """The active mixing matrices side by side: (d, K*d), block k = mixing[k]."""
+    return mixing[:budget].transpose(1, 0, 2).reshape(mixing.shape[1], -1)
 
 
 def _check_budget(budget: int, capacity: int) -> None:
@@ -279,9 +278,6 @@ def layer_forward(
         raise StructuralError(f"unknown truncation mode {truncation!r}")
     _check_budget(budget, p.capacity)
 
-    # spectral features for the active prefix only
-    features = fft_causal_conv_bank(basis.scaled_filters[:budget], u)  # (B,K,L,d)
-
     pre = hidden = logits = weights_full = None
     if gate_enabled:
         pre, hidden, logits = _gate_mlp(u, p.gate)  # logits: (B, L, capacity)
@@ -294,11 +290,13 @@ def layer_forward(
     else:
         weights = np.ones(u.shape[:2] + (budget,), dtype=u.dtype)
 
-    weighted = features * np.swapaxes(weights, 1, 2)[..., None]  # (B,K,L,d)
-    del features  # a view of the conv's (B, K, 2L, d) buffer: free it now
-    # broadcast BLAS matmul, as in the backward: np.einsum is ~5x slower here
-    spectral = np.matmul(weighted, np.swapaxes(p.mixing[:budget], 1, 2)).sum(axis=1)
-    out = u @ p.skip.T + spectral
+    # spectral features for the active prefix, time last: (B, K, d, L); the
+    # conv's buffer is this call's own, so the weights go on in place
+    features = fft_causal_conv_bank(basis.scaled_filters[:budget], u)
+    features *= np.swapaxes(weights, 1, 2)[:, :, None, :]
+    # out^T = skip @ u^T + M_cat @ features as (K*d, L): one GEMM over the prefix
+    spectral_t = _mixing_cat(p.mixing, budget) @ features.reshape(-1, budget * width, length)
+    out = u @ p.skip.T + np.swapaxes(spectral_t, 1, 2)
 
     cache = LayerCache(
         u=u,

@@ -7,7 +7,8 @@ Array conventions used throughout the package:
 * a *matrix* is a 2-D C-order ``float`` ndarray,
 * sequences always come as a batch ``(B, L, d)`` (time-major within each
   sequence); one sequence ``x`` is passed as ``x[None]``,
-* a *filter bank* is a ``(K, L)`` array, one length-``L`` filter per row.
+* a *filter bank* is a ``(K, L)`` array, one length-``L`` filter per row,
+* *features* are ``(B, K, d, L)``: time last, so FFTs run along a contiguous axis.
 
 Causal convolution is defined as ``out[t] = sum_{tau=0..t} f[tau] * s[t-tau]``
 (0-indexed): the tap at lag zero participates, and ``out[t]`` never reads
@@ -17,6 +18,7 @@ Causal convolution is defined as ``out[t] = sum_{tau=0..t} f[tau] * s[t-tau]``
 from __future__ import annotations
 
 import numpy as np
+import scipy.fft
 
 from .errors import ConvergenceError, StructuralError
 
@@ -108,8 +110,8 @@ def fft_causal_conv_bank(filters, signal) -> np.ndarray:
         signal:  ``(B, L, d)`` array.
 
     Returns:
-        ``(B, K, L, d)`` array where slot ``[b, k]`` holds the causal
-        convolution of ``filters[k]`` against sequence ``b``.
+        ``(B, K, d, L)``: slot ``[b, k]`` is ``filters[k]`` convolved with
+        sequence ``b``; a view of a fresh ``(B, K, d, 2L)`` buffer the caller owns.
     """
     f = _as_float_array(filters, "filters")
     s = _as_float_array(signal, "signal")
@@ -123,10 +125,10 @@ def fft_causal_conv_bank(filters, signal) -> np.ndarray:
             f"filter length {f.shape[1]} does not match signal length {length}"
         )
     n = next_pow2(2 * length - 1)
-    f_hat = np.fft.rfft(f, n=n, axis=1)  # (K, nf)
-    s_hat = np.fft.rfft(s, n=n, axis=1)  # (B, nf, d)
-    prod = s_hat[:, None, :, :] * f_hat[None, :, :, None]  # (B, K, nf, d)
-    full = np.fft.irfft(prod, n=n, axis=2)[:, :, :length, :]
+    f_hat = scipy.fft.rfft(f, n=n, axis=-1)  # (K, nf)
+    s_hat = scipy.fft.rfft(np.swapaxes(s, 1, 2), n=n, axis=-1)  # (B, d, nf)
+    prod = s_hat[:, None, :, :] * f_hat[None, :, None, :]  # (B, K, d, nf)
+    full = scipy.fft.irfft(prod, n=n, axis=-1, overwrite_x=True)[..., :length]
     return full.astype(s.dtype, copy=False)
 
 
@@ -139,22 +141,22 @@ def fft_causal_conv_bank_adjoint(filters, grad_features) -> np.ndarray:
 
     Args:
         filters: ``(K, L)``.
-        grad_features: ``(B, K, L, d)``.
+        grad_features: ``(B, K, d, L)``, time last.
 
     Returns:
         ``(B, L, d)``.
     """
     f = _as_float_array(filters, "filters")
     g = np.asarray(grad_features)
-    length = f.shape[1]
-    if g.ndim != 4 or g.shape[1:3] != f.shape:
+    num, length = f.shape
+    if g.ndim != 4 or g.shape[1] != num or g.shape[3] != length:
         raise StructuralError(
-            f"grad_features must be (B, {f.shape[0]}, {length}, d) for filter "
+            f"grad_features must be (B, {num}, d, {length}) for filter "
             f"bank {f.shape}, got {g.shape}"
         )
     n = next_pow2(2 * length - 1)
-    f_hat = np.fft.rfft(f, n=n, axis=1)  # (K, nf)
-    g_hat = np.fft.rfft(g, n=n, axis=2)  # (B, K, nf, d)
-    prod = np.conj(f_hat)[None, :, :, None] * g_hat  # (B, K, nf, d)
-    acc = np.fft.irfft(prod.sum(axis=1), n=n, axis=1)[:, :length, :]
-    return acc.astype(g.dtype, copy=False)
+    f_hat = scipy.fft.rfft(f, n=n, axis=-1)  # (K, nf)
+    g_hat = scipy.fft.rfft(g, n=n, axis=-1)  # (B, K, d, nf)
+    g_hat *= np.conj(f_hat)[None, :, None, :]
+    acc = scipy.fft.irfft(g_hat.sum(axis=1), n=n, axis=-1, overwrite_x=True)
+    return np.swapaxes(acc[..., :length], 1, 2).astype(g.dtype, copy=False)

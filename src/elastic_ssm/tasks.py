@@ -37,9 +37,9 @@ __all__ = [
 BYTE_EVAL_FRAC = 0.05
 #: Synthetic tasks draw one extra eval sequence per this many train samples.
 SYNTH_EVAL_DIVISOR = 8
-#: Bytes of one layer's (B, K, L, d) float64 spectral features that an eval
+#: Bytes of one layer's (B, K, d, L) float64 spectral features that an eval
 #: batch may hold: no layer keeps them past its call, so depth does not enter.
-#: The transient peak, inside the FFT convolution, is about 4.2x this.
+#: The transient peak, in the FFT convolution, is 4.2x this (traced, K=32).
 EVAL_FEATURE_BYTES = 2**28
 
 

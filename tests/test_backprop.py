@@ -335,6 +335,28 @@ class TestModelGradcheck:
         with pytest.raises(NumericError, match="float64"):
             finite_diff_check(fn, params, cfg, n_coords=60)
 
+    @pytest.mark.parametrize("budget", [3, 6])
+    def test_float32_stays_float32_and_tracks_float64(self, basis8, budget):
+        cfg32 = tiny_config(depth=2, precision="float32")
+        cfg64 = tiny_config(depth=2)
+        p32 = init_model_params(cfg32)
+        p64 = init_model_params(cfg64)
+        for (_, a32), (_, a64) in zip(flatten_params(p32, cfg32), flatten_params(p64, cfg64)):
+            a64[...] = a32  # the same starting point in both precisions
+        rng = np.random.default_rng(24)
+        tokens = rng.integers(0, 7, size=(2, 8))
+        targets = rng.integers(0, 7, size=(2, 8))
+        runs = {}
+        for cfg, params in ((cfg32, p32), (cfg64, p64)):
+            out, cache = model_forward(tokens, params, cfg, basis8, budget)
+            _, dout = softmax_cross_entropy(out, targets)
+            runs[cfg.precision] = {"out": out, **model_backward(dout, cache)}
+        for name, want in runs["float64"].items():
+            got = runs["float32"][name]
+            assert got.dtype == np.float32, name
+            scale = max(float(np.max(np.abs(want))), 1e-30)
+            assert np.max(np.abs(got - want)) <= 1e-5 * scale, name
+
     def test_report_line_format(self, basis8):
         cfg = tiny_config()
         params = init_model_params(cfg)

@@ -239,7 +239,7 @@ class TestLayerForward:
         feats = fft_causal_conv_bank(basis16.scaled_filters[:3], u)
         expected = u @ p.skip.T
         for k in range(3):
-            expected = expected + feats[0, k] @ p.mixing[k].T
+            expected = expected + feats[0, k].T @ p.mixing[k].T
         np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("mode", [

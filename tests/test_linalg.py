@@ -115,8 +115,8 @@ class TestDirectCausalConv:
 
 
 def conv_one(filt, signal):
-    """One filter against one (L, d) sequence: the bank at K = B = 1."""
-    return fft_causal_conv_bank(np.asarray(filt)[None], np.asarray(signal)[None])[0, 0]
+    """One filter against one (L, d) sequence: the bank at K = B = 1, as (L, d)."""
+    return fft_causal_conv_bank(np.asarray(filt)[None], np.asarray(signal)[None])[0, 0].T
 
 
 class TestFftCausalConv:
@@ -160,14 +160,14 @@ class TestFftCausalConv:
         s = rng.normal(size=(1, 10, 3))
         bank = fft_causal_conv_bank(filters, s)
         for k in range(4):
-            np.testing.assert_allclose(bank[0, k], conv_one(filters[k], s[0]), atol=1e-12)
+            np.testing.assert_allclose(bank[0, k].T, conv_one(filters[k], s[0]), atol=1e-12)
 
     def test_bank_batched_matches_loop(self):
         rng = np.random.default_rng(6)
         filters = rng.normal(size=(3, 7))
         s = rng.normal(size=(5, 7, 2))
         batched = fft_causal_conv_bank(filters, s)
-        assert batched.shape == (5, 3, 7, 2)
+        assert batched.shape == (5, 3, 2, 7)
         for b in range(5):
             alone = fft_causal_conv_bank(filters, s[b:b + 1])
             np.testing.assert_allclose(batched[b], alone[0])
@@ -177,7 +177,7 @@ class TestFftCausalConv:
         rng = np.random.default_rng(8)
         filters = rng.normal(size=(3, 9))
         x = rng.normal(size=(2, 9, 2))
-        y = rng.normal(size=(2, 3, 9, 2))
+        y = rng.normal(size=(2, 3, 2, 9))
         fwd = fft_causal_conv_bank(filters, x)
         lhs = float(np.sum(fwd * y))
         rhs = float(np.sum(x * fft_causal_conv_bank_adjoint(filters, y)))
