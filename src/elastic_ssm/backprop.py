@@ -205,17 +205,18 @@ def layer_backward(
 
     filters = cache.basis.scaled_filters[:budget]
     features = fft_causal_conv_bank(filters, cache.u)  # (B, K, d, L), time last
-    weights_t = np.swapaxes(cache.weights, 1, 2)[:, :, None, :]  # (B, K, 1, L)
     dout_t = np.swapaxes(dout, 1, 2)  # (B, d, L)
     m_cat = _mixing_cat(p.mixing, budget)  # (d, K*d)
     dweighted = (m_cat.T @ dout_t).reshape(features.shape)
-    if cache.gate_enabled:  # (B, K, L) -> (B, L, K) gradient wrt the mixture weights
+    if cache.gate_enabled:  # with the gate off every weight is 1: nothing to apply
+        # (B, K, L) -> (B, L, K) gradient wrt the mixture weights
         dweights = np.swapaxes(np.einsum("bkfl,bkfl->bkl", dweighted, features), 1, 2)
-    features *= weights_t  # the recomputed buffer is ours: weight it in place
+        weights_t = np.swapaxes(cache.weights, 1, 2)[:, :, None, :]  # (B, K, 1, L)
+        features *= weights_t  # the conv returns a fresh array: weight it in place
+        dweighted *= weights_t
     dm_cat = sum(d @ w.reshape(m_cat.shape[1], -1).T for d, w in zip(dout_t, features))
     g.mixing[:budget] = dm_cat.reshape(p.width, budget, p.width).transpose(1, 0, 2)
-    del features  # dweights is taken: free the buffer before the adjoint's FFT
-    dweighted *= weights_t
+    del features  # free the features before the adjoint's transforms
     du += fft_causal_conv_bank_adjoint(filters, dweighted)
 
     if cache.gate_enabled:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ArtifactError, NumericError, StructuralError
 from .linalg import symmetric_eig
-from .storage import Reader, Writer, atomic_write_bytes
+from .storage import Reader, Writer, atomic_write
 
 __all__ = [
     "SpectralBasis",
@@ -201,7 +201,7 @@ def save_basis(basis: SpectralBasis, path: str | os.PathLike) -> None:
     w.u32(basis.capacity)
     w.array(basis.eigenvalues, "float64")
     w.array(basis.filters, "float64")
-    atomic_write_bytes(path, w.finish())
+    atomic_write(path, w.parts())
 
 
 def load_basis(

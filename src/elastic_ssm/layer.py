@@ -291,9 +291,11 @@ def layer_forward(
         weights = np.ones(u.shape[:2] + (budget,), dtype=u.dtype)
 
     # spectral features for the active prefix, time last: (B, K, d, L); the
-    # conv's buffer is this call's own, so the weights go on in place
+    # conv returns a fresh C-contiguous array, so the weights go on in place
+    # (with the gate off every weight is 1, which would change no bit)
     features = fft_causal_conv_bank(basis.scaled_filters[:budget], u)
-    features *= np.swapaxes(weights, 1, 2)[:, :, None, :]
+    if gate_enabled:
+        features *= np.swapaxes(weights, 1, 2)[:, :, None, :]
     # out^T = skip @ u^T + M_cat @ features as (K*d, L): one GEMM over the prefix
     spectral_t = _mixing_cat(p.mixing, budget) @ features.reshape(-1, budget * width, length)
     out = u @ p.skip.T + np.swapaxes(spectral_t, 1, 2)

@@ -103,15 +103,19 @@ def fft_causal_conv_bank(filters, signal) -> np.ndarray:
 
     Both operands are zero-padded to the next power of two >= 2L-1, so the
     circular convolution theorem yields the exact linear convolution, then
-    the result is truncated back to length L.
+    the result is truncated back to length L.  The signal and the filters
+    are transformed once; the product and its inverse transform run one
+    filter at a time, so no ``(B, K, d, 2L)`` intermediate exists and the
+    peak stays near the output's own size.
 
     Args:
         filters: ``(K, L)`` array, filter-major.
         signal:  ``(B, L, d)`` array.
 
     Returns:
-        ``(B, K, d, L)``: slot ``[b, k]`` is ``filters[k]`` convolved with
-        sequence ``b``; a view of a fresh ``(B, K, d, 2L)`` buffer the caller owns.
+        ``(B, K, d, L)`` in the signal's dtype, C-contiguous, a fresh array
+        the caller owns: slot ``[b, k]`` is ``filters[k]`` convolved with
+        sequence ``b``.
     """
     f = _as_float_array(filters, "filters")
     s = _as_float_array(signal, "signal")
@@ -127,9 +131,10 @@ def fft_causal_conv_bank(filters, signal) -> np.ndarray:
     n = next_pow2(2 * length - 1)
     f_hat = scipy.fft.rfft(f, n=n, axis=-1)  # (K, nf)
     s_hat = scipy.fft.rfft(np.swapaxes(s, 1, 2), n=n, axis=-1)  # (B, d, nf)
-    prod = s_hat[:, None, :, :] * f_hat[None, :, None, :]  # (B, K, d, nf)
-    full = scipy.fft.irfft(prod, n=n, axis=-1, overwrite_x=True)[..., :length]
-    return full.astype(s.dtype, copy=False)
+    out = np.empty((s.shape[0], f.shape[0], s.shape[2], length), dtype=s.dtype)
+    for k, f_k in enumerate(f_hat):
+        out[:, k] = scipy.fft.irfft(s_hat * f_k, n=n, axis=-1, overwrite_x=True)[..., :length]
+    return out
 
 
 def fft_causal_conv_bank_adjoint(filters, grad_features) -> np.ndarray:
@@ -137,7 +142,9 @@ def fft_causal_conv_bank_adjoint(filters, grad_features) -> np.ndarray:
 
     Given upstream gradients for the per-filter features, accumulates
     ``dsignal[b, t] = sum_k sum_{t' >= t} filters[k][t' - t] * grad[b, k][t']``
-    (causal cross-correlation, summed over the bank).
+    (causal cross-correlation, summed over the bank).  The spectra of the
+    channels are accumulated one at a time into one ``(B, d, nf)`` sum, so
+    the only transform of ``d`` rows per sequence is the final inverse.
 
     Args:
         filters: ``(K, L)``.
@@ -156,7 +163,12 @@ def fft_causal_conv_bank_adjoint(filters, grad_features) -> np.ndarray:
         )
     n = next_pow2(2 * length - 1)
     f_hat = scipy.fft.rfft(f, n=n, axis=-1)  # (K, nf)
-    g_hat = scipy.fft.rfft(g, n=n, axis=-1)  # (B, K, d, nf)
-    g_hat *= np.conj(f_hat)[None, :, None, :]
-    acc = scipy.fft.irfft(g_hat.sum(axis=1), n=n, axis=-1, overwrite_x=True)
+    # (B, d, nf): sum_k conj(F_k) * rfft(g[:, k]), added in bank order from zero
+    acc = np.zeros((g.shape[0], g.shape[2], f_hat.shape[1]),
+                   dtype=np.result_type(g.dtype, np.complex64))
+    for k, f_k in enumerate(np.conj(f_hat)):
+        g_hat = scipy.fft.rfft(g[:, k], n=n, axis=-1)
+        g_hat *= f_k
+        acc += g_hat
+    acc = scipy.fft.irfft(acc, n=n, axis=-1, overwrite_x=True)
     return np.swapaxes(acc[..., :length], 1, 2).astype(g.dtype, copy=False)

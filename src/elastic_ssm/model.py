@@ -27,7 +27,7 @@ from .basis import SpectralBasis
 from .config import ModelConfig
 from .errors import ArtifactError, StructuralError
 from .layer import GateParams, LayerCache, LayerParams, layer_forward
-from .storage import Reader, Writer, atomic_write_bytes, crc32
+from .storage import Reader, Writer, atomic_write, crc32
 
 __all__ = [
     "BlockParams",
@@ -35,6 +35,7 @@ __all__ = [
     "ModelCache",
     "ParamSpec",
     "checkpoint_bytes",
+    "checkpoint_writer",
     "flatten_params",
     "init_model_params",
     "layer_norm_forward",
@@ -369,18 +370,23 @@ def model_forward(
 # ---------------------------------------------------------------------------
 
 
-def checkpoint_bytes(params: ModelParams, config: ModelConfig) -> bytes:
-    """Serialize to the "ESSM" container (no optimizer state)."""
+def checkpoint_writer(params: ModelParams, config: ModelConfig) -> Writer:
+    """The "ESSM" container (no optimizer state), holding views of the tensors."""
     w = Writer(CHECKPOINT_MAGIC)
     w.u32(CHECKPOINT_VERSION)
     w.json_block(config.to_dict())
     for _, arr in flatten_params(params, config):
         w.array(arr, config.precision)
-    return w.finish()
+    return w
+
+
+def checkpoint_bytes(params: ModelParams, config: ModelConfig) -> bytes:
+    """Serialize to the "ESSM" container (no optimizer state)."""
+    return checkpoint_writer(params, config).finish()
 
 
 def save_checkpoint(path: str | os.PathLike, params: ModelParams, config: ModelConfig) -> None:
-    atomic_write_bytes(path, checkpoint_bytes(params, config))
+    atomic_write(path, checkpoint_writer(params, config).parts())
 
 
 def checkpoint_span(data: bytes, what: str = "checkpoint") -> tuple[int, ModelConfig]:
@@ -460,5 +466,6 @@ def params_fingerprint(params: ModelParams, config: ModelConfig) -> int:
     they never mutate a checkpoint."""
     acc = 0
     for _, arr in flatten_params(params, config):
-        acc = crc32(np.ascontiguousarray(arr).tobytes() + acc.to_bytes(4, "little"))
+        # the CRC of the array's bytes followed by the previous value's
+        acc = crc32(acc.to_bytes(4, "little"), crc32(np.ascontiguousarray(arr)))
     return acc

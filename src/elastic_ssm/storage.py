@@ -5,7 +5,8 @@ format version, format-specific header fields, raw little-endian tensor
 payloads, and a trailing CRC32 (zlib) over everything after the magic.
 Multi-byte integers are little-endian throughout.  Writes are atomic
 (temp file in the same directory, then ``os.replace``) so a crashed writer
-can never leave a half-written artifact behind.
+can never leave a half-written artifact behind, and streamed: a container
+goes to the file as its parts, so no whole-container blob is built.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import os
 import struct
 import tempfile
 import zlib
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -24,14 +25,15 @@ from .errors import ArtifactError
 __all__ = [
     "Reader",
     "Writer",
-    "atomic_write_bytes",
+    "atomic_write",
     "canonical_json",
     "crc32",
 ]
 
 
-def crc32(data: bytes) -> int:
-    return zlib.crc32(data) & 0xFFFFFFFF
+def crc32(data, value: int = 0) -> int:
+    """CRC32 of any contiguous buffer, continuing from the running ``value``."""
+    return zlib.crc32(data, value) & 0xFFFFFFFF
 
 
 def canonical_json(obj: Any) -> str:
@@ -39,15 +41,16 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
-def atomic_write_bytes(path: str | os.PathLike, data: bytes) -> None:
-    """Write ``data`` to ``path`` via a same-directory temp file + rename."""
+def atomic_write(path: str | os.PathLike, parts: Iterable) -> None:
+    """Write the buffers ``parts`` back to back to ``path`` via a
+    same-directory temp file + rename."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            fh.writelines(parts)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -58,9 +61,12 @@ def atomic_write_bytes(path: str | os.PathLike, data: bytes) -> None:
 
 
 class Writer:
-    """Accumulates one container; tracks the CRC region automatically.
+    """Accumulates one container as a list of buffers; tracks the CRC region
+    automatically.
 
     Everything appended after the magic participates in the trailing CRC32.
+    A tensor is held as a view of its array, not a copy, so the arrays must
+    not change before :meth:`parts` or :meth:`finish` is called.
     """
 
     def __init__(self, magic: bytes):
@@ -90,13 +96,20 @@ class Writer:
     def array(self, arr: np.ndarray, dtype: str) -> "Writer":
         """Raw little-endian C-order bytes of ``arr`` cast to ``dtype``."""
         a = np.ascontiguousarray(arr, dtype=np.dtype(dtype).newbyteorder("<"))
-        self.raw(a.tobytes())
+        self.raw(memoryview(a.reshape(-1).view(np.uint8)))
         return self
 
+    def parts(self) -> list:
+        """The container as buffers: the parts, then the CRC32 of everything
+        after the magic, computed as a running value over the parts."""
+        crc = 0
+        for part in self._parts[1:]:
+            crc = crc32(part, crc)
+        return self._parts + [struct.pack("<I", crc)]
+
     def finish(self) -> bytes:
-        """Append CRC32 over everything after the magic and return the blob."""
-        body = b"".join(self._parts[1:])
-        return self._parts[0] + body + struct.pack("<I", crc32(body))
+        """The whole container as one blob."""
+        return b"".join(self.parts())
 
 
 class Reader:

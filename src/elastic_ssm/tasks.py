@@ -39,7 +39,8 @@ BYTE_EVAL_FRAC = 0.05
 SYNTH_EVAL_DIVISOR = 8
 #: Bytes of one layer's (B, K, d, L) float64 spectral features that an eval
 #: batch may hold: no layer keeps them past its call, so depth does not enter.
-#: The transient peak, in the FFT convolution, is 4.2x this (traced, K=32).
+#: The forward's transient peak is 1.4x this (traced, K=32): the features plus
+#: one channel's FFT intermediates, as the convolution runs channel by channel.
 EVAL_FEATURE_BYTES = 2**28
 
 

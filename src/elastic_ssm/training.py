@@ -29,13 +29,13 @@ from .config import ModelConfig, RunConfig, TrainConfig
 from .errors import ArtifactError, ConfigError, NumericError, StructuralError
 from .model import (
     ModelParams,
-    checkpoint_bytes,
+    checkpoint_writer,
     flatten_params,
     init_model_params,
     param_schema,
     params_from_checkpoint,
 )
-from .storage import Reader, Writer, atomic_write_bytes
+from .storage import Reader, Writer, atomic_write
 from .tasks import Dataset, build_dataset, evaluate_model
 
 __all__ = [
@@ -308,7 +308,8 @@ def train_step(
 # ---------------------------------------------------------------------------
 
 
-def optimizer_block_bytes(state: OptimizerState, config: ModelConfig) -> bytes:
+def optimizer_block_writer(state: OptimizerState, config: ModelConfig) -> Writer:
+    """The optimizer container, holding views of the moment arrays."""
     w = Writer(OPTIMIZER_MAGIC)
     w.u32(OPTIMIZER_VERSION)
     w.u64(state.completed)
@@ -318,7 +319,11 @@ def optimizer_block_bytes(state: OptimizerState, config: ModelConfig) -> bytes:
         w.array(state.m[spec.name], "float64")
         w.array(state.v[spec.name], "float64")
         w.array(state.counts[spec.name], "int64")
-    return w.finish()
+    return w
+
+
+def optimizer_block_bytes(state: OptimizerState, config: ModelConfig) -> bytes:
+    return optimizer_block_writer(state, config).finish()
 
 
 def optimizer_state_from_block(data: bytes | memoryview, config: ModelConfig) -> OptimizerState:
@@ -341,9 +346,10 @@ def save_training_checkpoint(
     config: ModelConfig,
     state: OptimizerState,
 ) -> None:
-    """Model container with the optimizer block appended after it."""
-    blob = checkpoint_bytes(params, config) + optimizer_block_bytes(state, config)
-    atomic_write_bytes(path, blob)
+    """Model container with the optimizer block appended after it, streamed
+    to the file part by part."""
+    parts = checkpoint_writer(params, config).parts()
+    atomic_write(path, parts + optimizer_block_writer(state, config).parts())
 
 
 def load_training_checkpoint(

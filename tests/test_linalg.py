@@ -1,5 +1,7 @@
 """Kernels: symmetric eigendecomposition, causal convolution."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,16 @@ def conv_one(filt, signal):
     return fft_causal_conv_bank(np.asarray(filt)[None], np.asarray(signal)[None])[0, 0].T
 
 
+def _peak_bytes(fn, *args) -> int:
+    """Peak bytes traced while ``fn(*args)`` runs, its result included."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestFftCausalConv:
     def test_matches_direct_on_200_random_instances(self):
         rng = np.random.default_rng(3)
@@ -182,6 +194,27 @@ class TestFftCausalConv:
         lhs = float(np.sum(fwd * y))
         rhs = float(np.sum(x * fft_causal_conv_bank_adjoint(filters, y)))
         np.testing.assert_allclose(lhs, rhs, rtol=1e-10)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bank_output_is_a_fresh_array_of_the_signal_dtype(self, dtype):
+        rng = np.random.default_rng(9)
+        s = rng.normal(size=(2, 16, 3)).astype(dtype)
+        out = fft_causal_conv_bank(rng.normal(size=(4, 16)), s)
+        assert out.shape == (2, 4, 3, 16)
+        assert out.dtype == dtype
+        assert out.flags.c_contiguous and out.base is None
+
+    def test_kernels_never_hold_the_bank_spectra(self):
+        # B=1, K=32, d=64, L=256: a (B, K, d, 2L) spectrum would be 4x the
+        # features; one channel's intermediates are a few percent of them
+        rng = np.random.default_rng(10)
+        filters = rng.normal(size=(32, 256))
+        s = rng.normal(size=(1, 256, 64))
+        g = rng.normal(size=(1, 32, 64, 256))
+        bank_peak = _peak_bytes(fft_causal_conv_bank, filters, s)
+        adjoint_peak = _peak_bytes(fft_causal_conv_bank_adjoint, filters, g)
+        assert bank_peak <= 1.5 * g.nbytes
+        assert adjoint_peak <= 0.5 * g.nbytes
 
 
 class TestNextPow2:

@@ -12,6 +12,7 @@ from elastic_ssm.basis import build_basis
 from elastic_ssm.config import ModelConfig, Paths, RunConfig, TaskSpec, TrainConfig
 from elastic_ssm.errors import ArtifactError, ConfigError, NumericError, StructuralError
 from elastic_ssm.model import (
+    checkpoint_bytes,
     checkpoint_span,
     flatten_params,
     init_model_params,
@@ -501,6 +502,22 @@ class TestOptimizerContainer:
         assert c2.to_dict() == config.to_dict()
         assert params_fingerprint(p2, c2) == params_fingerprint(params, config)
         assert s2.completed == 5
+
+    def test_saved_file_is_the_two_containers(self, tmp_path):
+        # the save streams the parts; the file is the same bytes as the blobs
+        config = tiny_config()
+        params = init_model_params(config)
+        state = init_optimizer_state(config)
+        rng = np.random.default_rng(1)
+        for name in state.m:
+            state.m[name] = rng.normal(size=state.m[name].shape)
+        state.completed = state.applied = 3
+        path = tmp_path / "ck.essm"
+        save_training_checkpoint(path, params, config, state)
+        expected = checkpoint_bytes(params, config) + optimizer_block_bytes(state, config)
+        assert path.read_bytes() == expected
+        save_checkpoint(path, params, config)
+        assert path.read_bytes() == checkpoint_bytes(params, config)
 
     def test_training_checkpoint_decoded_once(self, tmp_path, monkeypatch):
         config = tiny_config()
