@@ -220,21 +220,18 @@ def layer_backward(
     du += fft_causal_conv_bank_adjoint(filters, dweighted)
 
     if cache.gate_enabled:
-        if cache.truncation == "masked":
-            dscaled = _softmax_vjp(cache.weights, dweights)
-            dactive = _rms_rescale_vjp(cache.logits[..., :budget], p.gate.eps, dscaled)
-            # scatter into full-capacity logit gradient; rows >= K stay 0.0
-            dlogits = np.zeros_like(cache.logits)
-            dlogits[..., :budget] = dactive
-            g.gate.w_out[:budget] = np.einsum("blk,blh->kh", dactive, cache.hidden)
-            g.gate.b_out[:budget] = dactive.sum(axis=(0, 1))
-        else:  # direct: full-capacity softmax, prefix dropped without renorm
-            dfull = np.zeros_like(cache.weights_full)
-            dfull[..., :budget] = dweights
-            dsoft = _softmax_vjp(cache.weights_full, dfull)
-            dlogits = _rms_rescale_vjp(cache.logits, p.gate.eps, dsoft)
-            g.gate.w_out[...] = np.einsum("blk,blh->kh", dlogits, cache.hidden)
-            g.gate.b_out[...] = dlogits.sum(axis=(0, 1))
+        # the forward's softmax ran over the first `active` logits: the budget
+        # (masked) or every channel (direct, prefix then dropped unrenormalized)
+        active = budget if cache.truncation == "masked" else p.capacity
+        dsoft = np.zeros(dweights.shape[:-1] + (active,), dtype=dweights.dtype)
+        dsoft[..., :budget] = dweights
+        dscaled = _softmax_vjp(cache.weights_full[..., :active], dsoft)
+        dactive = _rms_rescale_vjp(cache.logits[..., :active], p.gate.eps, dscaled)
+        # scatter into the full-capacity logit gradient; rows >= active stay 0.0
+        dlogits = np.zeros_like(cache.logits)
+        dlogits[..., :active] = dactive
+        g.gate.w_out[:active] = np.einsum("blk,blh->kh", dactive, cache.hidden)
+        g.gate.b_out[:active] = dactive.sum(axis=(0, 1))
 
         dhidden = dlogits @ p.gate.w_out
         dpre = dhidden * gelu_grad(cache.pre)

@@ -14,7 +14,6 @@ Bases are cached on disk keyed by (seq_len, capacity, format version); see
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import os
 import warnings
@@ -256,12 +255,9 @@ def default_cache_dir() -> str:
 def basis_cache_path(
     seq_len: int, capacity: int, cache_dir: str | os.PathLike | None = None
 ) -> str:
-    """Cache file path keyed by a content hash of (seq_len, capacity,
-    format version)."""
+    """Cache file path named by its key: (seq_len, capacity, format version)."""
     root = os.fspath(cache_dir) if cache_dir is not None else default_cache_dir()
-    key = f"essb:v{FORMAT_VERSION}:seq_len={seq_len}:capacity={capacity}"
-    digest = hashlib.sha256(key.encode("ascii")).hexdigest()[:16]
-    return os.path.join(root, f"basis-L{seq_len}-K{capacity}-{digest}.essb")
+    return os.path.join(root, f"basis-L{seq_len}-K{capacity}-v{FORMAT_VERSION}.essb")
 
 
 def get_or_build_basis(

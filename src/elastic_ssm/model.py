@@ -34,7 +34,6 @@ __all__ = [
     "ModelParams",
     "ModelCache",
     "ParamSpec",
-    "checkpoint_bytes",
     "checkpoint_writer",
     "flatten_params",
     "init_model_params",
@@ -380,60 +379,20 @@ def checkpoint_writer(params: ModelParams, config: ModelConfig) -> Writer:
     return w
 
 
-def checkpoint_bytes(params: ModelParams, config: ModelConfig) -> bytes:
-    """Serialize to the "ESSM" container (no optimizer state)."""
-    return checkpoint_writer(params, config).finish()
-
-
 def save_checkpoint(path: str | os.PathLike, params: ModelParams, config: ModelConfig) -> None:
     atomic_write(path, checkpoint_writer(params, config).parts())
 
 
-def checkpoint_span(data: bytes, what: str = "checkpoint") -> tuple[int, ModelConfig]:
-    """Parse the header of an "ESSM" blob; returns (total container byte
-    length including trailing CRC, config).  Trailing data beyond the span
-    (e.g. appended optimizer state) is the caller's business."""
-    import json
-    import struct
-
-    if len(data) < 12 or data[:4] != CHECKPOINT_MAGIC:
-        raise ArtifactError(f"{what}: not an ESSM checkpoint")
-    (version,) = struct.unpack("<I", data[4:8])
-    if version != CHECKPOINT_VERSION:
-        raise ArtifactError(
-            f"{what}: unsupported checkpoint version {version} "
-            f"(this build reads version {CHECKPOINT_VERSION})"
-        )
-    (json_len,) = struct.unpack("<I", data[8:12])
-    if 12 + json_len > len(data):
-        raise ArtifactError(f"{what}: truncated config block")
-    try:
-        cfg_doc = json.loads(data[12 : 12 + json_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ArtifactError(f"{what}: corrupt config JSON: {exc}") from exc
-    config = ModelConfig.from_dict(cfg_doc, where=f"{what}.config")
-    itemsize = np.dtype(config.precision).itemsize
-    tensor_bytes = sum(
-        int(np.prod(spec.shape, dtype=np.int64)) * itemsize
-        for spec in param_schema(config)
-    )
-    span = 12 + json_len + tensor_bytes + 4
-    if span > len(data):
-        raise ArtifactError(f"{what}: truncated tensor payload")
-    return span, config
-
-
 def params_from_checkpoint(data: bytes, what: str = "checkpoint") -> tuple[ModelParams, ModelConfig, int]:
     """Decode the "ESSM" container that starts ``data`` into (params, config,
-    span); any appended block begins at ``span``.  The CRC is checked before
-    any tensor is read."""
-    span, config = checkpoint_span(data, what)
-    r = Reader(memoryview(data)[:span], CHECKPOINT_MAGIC, what=what)
+    span); any appended block begins at ``span``.  Nothing is returned until
+    the container's CRC matches."""
+    r = Reader(data, CHECKPOINT_MAGIC, what=what)
     r.expect_version(CHECKPOINT_VERSION)
-    r.json_block()
+    config = ModelConfig.from_dict(r.json_block(), where=f"{what}.config")
     arrays = {spec.name: r.array(spec.shape, config.precision)
               for spec in param_schema(config)}
-    r.expect_end()
+    span = r.end()
     return params_from_arrays(arrays, config), config, span
 
 
@@ -443,7 +402,7 @@ def load_checkpoint(
 ) -> tuple[ModelParams, ModelConfig]:
     """Load params + config; optionally validate compatibility with a basis.
 
-    Ignores any appended optimizer block (see training.load_train_checkpoint
+    Ignores any appended optimizer block (see training.load_training_checkpoint
     for that).  A basis whose (seq_len, capacity) disagree with the stored
     config raises ArtifactError.
     """

@@ -12,6 +12,7 @@ goes to the file as its parts, so no whole-container blob is built.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -113,8 +114,14 @@ class Writer:
 
 
 class Reader:
-    """Sequential reader with magic/version/CRC validation, over a
-    ``memoryview`` of ``data``: only :meth:`array` copies, once per tensor."""
+    """Sequential reader over a ``memoryview`` of ``data``, which starts with
+    the container: only :meth:`array` copies, once per tensor.
+
+    The container's end is found by reading it, so ``data`` may carry more
+    bytes after it.  :meth:`end` checks the trailing CRC32 against
+    everything read since the magic; a caller returns nothing it read until
+    that check has passed.
+    """
 
     def __init__(self, data: bytes | memoryview, magic: bytes, what: str = "artifact"):
         self._what = what
@@ -125,16 +132,8 @@ class Reader:
             raise ArtifactError(
                 f"{what}: bad magic {bytes(data[:4])!r}, expected {magic!r}"
             )
-        body, tail = data[4:-4], data[-4:]
-        (stored,) = struct.unpack("<I", tail)
-        actual = crc32(body)
-        if stored != actual:
-            raise ArtifactError(
-                f"{what}: checksum mismatch (stored 0x{stored:08x}, "
-                f"computed 0x{actual:08x})"
-            )
-        self._buf = body
-        self._pos = 0
+        self._buf = data
+        self._pos = 4
 
     def _take(self, n: int) -> memoryview:
         if self._pos + n > len(self._buf):
@@ -162,12 +161,25 @@ class Reader:
 
     def array(self, shape: tuple[int, ...], dtype: str) -> np.ndarray:
         dt = np.dtype(dtype).newbyteorder("<")
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        raw = self._take(count * dt.itemsize)
+        # Python ints: a corrupt header's huge shape cannot wrap past _take
+        raw = self._take(math.prod(shape) * dt.itemsize)
         return np.frombuffer(raw, dtype=dt).reshape(shape).astype(dtype)
 
+    def end(self) -> int:
+        """Read the trailing CRC32 and check it against everything read
+        since the magic; returns the offset just past the container."""
+        actual = crc32(self._buf[4 : self._pos])
+        stored = self.u32()
+        if stored != actual:
+            raise ArtifactError(
+                f"{self._what}: checksum mismatch (stored 0x{stored:08x}, "
+                f"computed 0x{actual:08x})"
+            )
+        return self._pos
+
     def expect_end(self) -> None:
-        if self._pos != len(self._buf):
+        """:meth:`end`, for a container that must fill all of ``data``."""
+        if self.end() != len(self._buf):
             raise ArtifactError(
                 f"{self._what}: {len(self._buf) - self._pos} trailing bytes"
             )

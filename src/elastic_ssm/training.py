@@ -322,10 +322,6 @@ def optimizer_block_writer(state: OptimizerState, config: ModelConfig) -> Writer
     return w
 
 
-def optimizer_block_bytes(state: OptimizerState, config: ModelConfig) -> bytes:
-    return optimizer_block_writer(state, config).finish()
-
-
 def optimizer_state_from_block(data: bytes | memoryview, config: ModelConfig) -> OptimizerState:
     r = Reader(data, OPTIMIZER_MAGIC, what="optimizer state")
     r.expect_version(OPTIMIZER_VERSION)
@@ -471,6 +467,18 @@ def run_training(
             )
         end_step = min(end_step, stop_after)
 
+    def record(step: int, loss: Optional[float], evaluation: Optional[dict]) -> dict:
+        """The log record after ``step``, as one cadence or the abort writes it."""
+        return {
+            "step": step + 1,
+            "loss": loss,
+            "budget_histogram": {str(k): histogram[k] for k in sorted(histogram)},
+            "grad_norm": last["grad_norm"],
+            "lr": last["lr"],
+            "eval": evaluation,
+            "skipped": state.skipped,
+        }
+
     n_train = dataset.n_train
     for step in range(start_step, end_step):
         rng = np.random.Generator(np.random.Philox(key=batch_key, counter=step))
@@ -485,18 +493,7 @@ def run_training(
             state.skipped += 1
             state.completed += 1
             if state.skipped > max_skips:
-                log.emit({
-                    "step": step + 1,
-                    "loss": None,
-                    "budget_histogram": {
-                        str(k): histogram[k] for k in sorted(histogram)
-                    },
-                    "grad_norm": last["grad_norm"],
-                    "lr": last["lr"],
-                    "eval": None,
-                    "skipped": state.skipped,
-                    "aborted": True,
-                })
+                log.emit({**record(step, None, None), "aborted": True})
                 raise NumericError(
                     f"{state.skipped} of {state.completed} steps skipped for "
                     f"non-finite values (limit {max_skips:.0f}); aborting"
@@ -510,15 +507,8 @@ def run_training(
             final_eval = evaluate_model(
                 params, model_cfg, basis, dataset, budget=model_cfg.capacity,
             )
-            log.emit({
-                "step": step + 1,
-                "loss": float(np.mean(window_losses)) if window_losses else None,
-                "budget_histogram": {str(k): histogram[k] for k in sorted(histogram)},
-                "grad_norm": last["grad_norm"],
-                "lr": last["lr"],
-                "eval": final_eval,
-                "skipped": state.skipped,
-            })
+            loss = float(np.mean(window_losses)) if window_losses else None
+            log.emit(record(step, loss, final_eval))
             window_losses = []
         if (
             checkpoint_path is not None

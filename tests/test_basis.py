@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from elastic_ssm.basis import (
+    FORMAT_VERSION,
+    MAGIC,
     SpectralBasis,
     basis_cache_path,
     build_basis,
@@ -17,6 +19,7 @@ from elastic_ssm.basis import (
     validate_basis,
 )
 from elastic_ssm.errors import ArtifactError, StructuralError
+from elastic_ssm.storage import Writer
 
 from _frozen_spectra import REFERENCE_SPECTRA
 from oracles import quadrature_moment_entry
@@ -187,6 +190,17 @@ class TestSerialization:
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(ArtifactError):
+            load_basis(path)
+
+    @pytest.mark.parametrize("seq_len, capacity", [(2**63, 4), (16, 2**31)])
+    def test_huge_header_is_a_truncated_payload(self, tmp_path, seq_len, capacity):
+        # a valid CRC over a header whose tensor sizes overflow int64
+        basis = build_basis(16, 4)
+        w = Writer(MAGIC).u32(FORMAT_VERSION).u64(seq_len).u32(capacity)
+        w.array(basis.eigenvalues, "float64").array(basis.filters, "float64")
+        path = tmp_path / "bank.essb"
+        path.write_bytes(w.finish())
+        with pytest.raises(ArtifactError, match="truncated"):
             load_basis(path)
 
     def test_header_mismatch_with_request(self, tmp_path):

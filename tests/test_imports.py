@@ -1,5 +1,5 @@
 """Source hygiene: every name a package module, test or demo imports is
-used there.
+used there, and every name a package module exports exists.
 
 pyflakes and ruff are not dependencies, so the check parses the modules with
 ``ast``: an imported name counts as used when it appears as a name in the
@@ -7,6 +7,7 @@ module's code, or, for re-exports, in its ``__all__``.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -47,3 +48,11 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("module", sorted(SOURCES))
 def test_no_unused_imports(module):
     assert unused_imports(SOURCES[module].read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in PACKAGE.glob("*.py")))
+def test_every_export_exists(name):
+    # nothing runs `import *`, so a stale ``__all__`` entry would go unnoticed
+    module = importlib.import_module(f"elastic_ssm.{name}" if name != "__init__"
+                                     else "elastic_ssm")
+    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []

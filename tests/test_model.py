@@ -1,5 +1,6 @@
 """Stacked model: init, norms, forward semantics, checkpoint container."""
 
+import hashlib
 import inspect
 
 import numpy as np
@@ -12,7 +13,7 @@ from elastic_ssm.config import ModelConfig
 from elastic_ssm.errors import ArtifactError, StructuralError
 from elastic_ssm.model import (
     CHECKPOINT_MAGIC,
-    checkpoint_bytes,
+    checkpoint_writer,
     flatten_params,
     init_model_params,
     layer_norm_forward,
@@ -327,7 +328,17 @@ class TestCheckpoint:
     def test_save_is_deterministic(self, tmp_path):
         cfg = small_config()
         p = init_model_params(cfg)
-        assert checkpoint_bytes(p, cfg) == checkpoint_bytes(p, cfg)
+        assert checkpoint_writer(p, cfg).finish() == checkpoint_writer(p, cfg).finish()
+
+    def test_bytes_match_the_recorded_format(self):
+        # pins the v1 byte layout: header, canonical JSON, tensors, CRC
+        cfg = ModelConfig(seq_len=8, width=4, gate_hidden=4, capacity=4, depth=1,
+                          budget_set=(2, 4), input_kind="real", in_dim=2,
+                          out_dim=3, seed=0)
+        blob = checkpoint_writer(init_model_params(cfg), cfg).finish()
+        assert hashlib.sha256(blob).hexdigest() == (
+            "a846b7b0e6e114315668a64c1dce2da2bc6fc27b2495d1f4723c35f171aac106"
+        )
 
     def test_corrupted_payload_rejected(self, tmp_path):
         cfg = small_config()
@@ -368,7 +379,7 @@ class TestCheckpoint:
         cfg = small_config()
         p = init_model_params(cfg)
         path = tmp_path / "model.essm"
-        blob = checkpoint_bytes(p, cfg)
+        blob = checkpoint_writer(p, cfg).finish()
         path.write_bytes(blob + b"OPTSTATE-PLACEHOLDER")
         p2, cfg2 = load_checkpoint(path)
         assert cfg2 == cfg

@@ -6,16 +6,15 @@ import math
 import numpy as np
 import pytest
 
-import elastic_ssm.model as model_module
 import elastic_ssm.training as training_module
 from elastic_ssm.basis import build_basis
 from elastic_ssm.config import ModelConfig, Paths, RunConfig, TaskSpec, TrainConfig
 from elastic_ssm.errors import ArtifactError, ConfigError, NumericError, StructuralError
 from elastic_ssm.model import (
-    checkpoint_bytes,
-    checkpoint_span,
+    checkpoint_writer,
     flatten_params,
     init_model_params,
+    load_checkpoint,
     param_schema,
     params_fingerprint,
     save_checkpoint,
@@ -29,7 +28,7 @@ from elastic_ssm.training import (
     init_optimizer_state,
     load_training_checkpoint,
     lr_at_step,
-    optimizer_block_bytes,
+    optimizer_block_writer,
     optimizer_state_from_block,
     run_training,
     save_training_checkpoint,
@@ -475,7 +474,7 @@ class TestOptimizerContainer:
             state.v[name] = np.abs(rng.normal(size=state.v[name].shape))
             state.counts[name] = rng.integers(0, 9, size=state.counts[name].shape)
         state.completed, state.applied, state.skipped = 12, 11, 1
-        blob = optimizer_block_bytes(state, config)
+        blob = optimizer_block_writer(state, config).finish()
         back = optimizer_state_from_block(blob, config)
         assert (back.completed, back.applied, back.skipped) == (12, 11, 1)
         for name in state.m:
@@ -486,7 +485,7 @@ class TestOptimizerContainer:
     def test_corruption_detected(self):
         config = tiny_config()
         state = init_optimizer_state(config)
-        blob = bytearray(optimizer_block_bytes(state, config))
+        blob = bytearray(optimizer_block_writer(state, config).finish())
         blob[len(blob) // 2] ^= 0x01
         with pytest.raises(ArtifactError):
             optimizer_state_from_block(bytes(blob), config)
@@ -514,29 +513,38 @@ class TestOptimizerContainer:
         state.completed = state.applied = 3
         path = tmp_path / "ck.essm"
         save_training_checkpoint(path, params, config, state)
-        expected = checkpoint_bytes(params, config) + optimizer_block_bytes(state, config)
+        expected = (checkpoint_writer(params, config).finish()
+                    + optimizer_block_writer(state, config).finish())
         assert path.read_bytes() == expected
         save_checkpoint(path, params, config)
-        assert path.read_bytes() == checkpoint_bytes(params, config)
+        assert path.read_bytes() == checkpoint_writer(params, config).finish()
 
-    def test_training_checkpoint_decoded_once(self, tmp_path, monkeypatch):
+    def test_training_checkpoint_decoded_once(self, tmp_path):
+        # storage.Reader is the only parser, so the header is read once; each
+        # tensor is one fresh, writeable copy of its bytes
         config = tiny_config()
         params = init_model_params(config)
         path = tmp_path / "ck.essm"
         save_training_checkpoint(path, params, config, init_optimizer_state(config))
-        spans = []
-
-        def counted(*args, **kwargs):
-            spans.append(args)
-            return checkpoint_span(*args, **kwargs)
-
-        monkeypatch.setattr(model_module, "checkpoint_span", counted)
         p2, _, s2 = load_training_checkpoint(path)
-        assert len(spans) == 1
         arrays = [a for _, a in flatten_params(p2, config)]
         arrays += [*s2.m.values(), *s2.v.values(), *s2.counts.values()]
         for arr in arrays:
             assert arr.flags.writeable and arr.flags.owndata
+
+    def test_flipped_optimizer_byte_fails_only_the_resume(self, tmp_path):
+        config = tiny_config()
+        params = init_model_params(config)
+        path = tmp_path / "ck.essm"
+        save_training_checkpoint(path, params, config, init_optimizer_state(config))
+        raw = bytearray(path.read_bytes())
+        span = len(checkpoint_writer(params, config).finish())
+        raw[(span + len(raw)) // 2] ^= 0x01  # inside the optimizer block
+        path.write_bytes(bytes(raw))
+        p2, _ = load_checkpoint(path)
+        assert params_fingerprint(p2, config) == params_fingerprint(params, config)
+        with pytest.raises(ArtifactError, match="checksum"):
+            load_training_checkpoint(path)
 
     def test_model_only_checkpoint_cannot_resume(self, tmp_path):
         config = tiny_config()
