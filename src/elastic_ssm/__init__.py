@@ -56,7 +56,6 @@ from .sweep import (
     flop_estimate,
     model_bibo_audit,
     run_ablation,
-    training_cost_ratio,
 )
 from .tasks import Dataset, build_dataset, evaluate_model
 from .training import (
@@ -121,5 +120,4 @@ __all__ = [
     "save_checkpoint",
     "save_training_checkpoint",
     "symmetric_eig",
-    "training_cost_ratio",
 ]

@@ -29,8 +29,8 @@ import numpy as np
 from scipy.special import erf
 
 from .errors import NumericError, StructuralError
-from .layer import _INV_SQRT2, GateParams, LayerCache, LayerParams, _mixing_cat
-from .linalg import fft_causal_conv_bank, fft_causal_conv_bank_adjoint
+from .layer import GateParams, LayerCache, LayerParams
+from .linalg import fft_causal_conv_bank_adjoint
 from .model import (
     ModelCache,
     flatten_params,
@@ -52,6 +52,7 @@ __all__ = [
 ]
 
 
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
@@ -186,8 +187,8 @@ def layer_backward(
     the gate's output layer are bitwise zero.  Direct-mode truncation routes
     gradient through the full-capacity softmax, so every gate row is live
     there (mixing rows >= budget stay zero: the forward never reads them).
-    The ``(B, K, d, L)`` spectral features are recomputed from ``cache.u``
-    by the forward's own convolution call, so the cache holds none.
+    The spectral gradients come from one adjoint call, which recomputes the
+    channels from ``cache.u`` one at a time, so no pass holds all K at once.
     """
     p = cache.params
     budget = cache.budget
@@ -199,25 +200,13 @@ def layer_backward(
         )
     g = _zeros_like_layer(p) if out is None else out
 
-    # out^T = skip @ u^T + M_cat @ (features * w), as the forward computes it
+    # out = u @ skip^T + the spectral branch, as the forward computes it
     g.skip[...] = np.einsum("ble,blf->ef", dout, cache.u)
-    du = dout @ p.skip
-
-    filters = cache.basis.scaled_filters[:budget]
-    features = fft_causal_conv_bank(filters, cache.u)  # (B, K, d, L), time last
-    dout_t = np.swapaxes(dout, 1, 2)  # (B, d, L)
-    m_cat = _mixing_cat(p.mixing, budget)  # (d, K*d)
-    dweighted = (m_cat.T @ dout_t).reshape(features.shape)
-    if cache.gate_enabled:  # with the gate off every weight is 1: nothing to apply
-        # (B, K, L) -> (B, L, K) gradient wrt the mixture weights
-        dweights = np.swapaxes(np.einsum("bkfl,bkfl->bkl", dweighted, features), 1, 2)
-        weights_t = np.swapaxes(cache.weights, 1, 2)[:, :, None, :]  # (B, K, 1, L)
-        features *= weights_t  # the conv returns a fresh array: weight it in place
-        dweighted *= weights_t
-    dm_cat = sum(d @ w.reshape(m_cat.shape[1], -1).T for d, w in zip(dout_t, features))
-    g.mixing[:budget] = dm_cat.reshape(p.width, budget, p.width).transpose(1, 0, 2)
-    del features  # free the features before the adjoint's transforms
-    du += fft_causal_conv_bank_adjoint(filters, dweighted)
+    dspectral, g.mixing[:budget], dweights = fft_causal_conv_bank_adjoint(
+        cache.basis.scaled_filters[:budget], cache.u, p.mixing[:budget], dout,
+        cache.weights if cache.gate_enabled else None,
+    )
+    du = dout @ p.skip + dspectral
 
     if cache.gate_enabled:
         # the forward's softmax ran over the first `active` logits: the budget

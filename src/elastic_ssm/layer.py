@@ -211,7 +211,7 @@ def layer_flop_count(
 @dataclass
 class LayerCache:
     """Forward activations for the backward pass, each (B, L, ...); the
-    backward recomputes the (B, K, d, L) spectral features from ``u``."""
+    backward recomputes the spectral channels from ``u``, one at a time."""
 
     u: np.ndarray  # (B, L, d) layer input
     budget: int
@@ -224,11 +224,6 @@ class LayerCache:
     weights_full: Optional[np.ndarray]  # (B, L, capacity) gate output, zero past K when masked
     params: LayerParams = field(repr=False)
     basis: SpectralBasis = field(repr=False)
-
-
-def _mixing_cat(mixing: np.ndarray, budget: int) -> np.ndarray:
-    """The active mixing matrices side by side: (d, K*d), block k = mixing[k]."""
-    return mixing[:budget].transpose(1, 0, 2).reshape(mixing.shape[1], -1)
 
 
 def _check_budget(budget: int, capacity: int) -> None:
@@ -290,15 +285,10 @@ def layer_forward(
     else:
         weights = np.ones(u.shape[:2] + (budget,), dtype=u.dtype)
 
-    # spectral features for the active prefix, time last: (B, K, d, L); the
-    # conv returns a fresh C-contiguous array, so the weights go on in place
-    # (with the gate off every weight is 1, which would change no bit)
-    features = fft_causal_conv_bank(basis.scaled_filters[:budget], u)
-    if gate_enabled:
-        features *= np.swapaxes(weights, 1, 2)[:, :, None, :]
-    # out^T = skip @ u^T + M_cat @ features as (K*d, L): one GEMM over the prefix
-    spectral_t = _mixing_cat(p.mixing, budget) @ features.reshape(-1, budget * width, length)
-    out = u @ p.skip.T + np.swapaxes(spectral_t, 1, 2)
+    # gate off: every weight is 1, so the bank skips the weighting pass
+    out = fft_causal_conv_bank(basis.scaled_filters[:budget], u, p.mixing[:budget],
+                               weights if gate_enabled else None)
+    out += u @ p.skip.T
 
     cache = LayerCache(
         u=u,

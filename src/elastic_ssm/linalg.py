@@ -1,6 +1,6 @@
 """Dense linear-algebra kernels: symmetric eigendecomposition with a fixed
-sign convention and FFT causal convolution of a filter bank, plus the
-bank's adjoint.
+sign convention, and the layer's spectral branch (FFT causal convolution
+with a filter bank, weighted and mixed channel by channel) with its adjoint.
 
 Array conventions used throughout the package:
 
@@ -8,7 +8,8 @@ Array conventions used throughout the package:
 * sequences always come as a batch ``(B, L, d)`` (time-major within each
   sequence); one sequence ``x`` is passed as ``x[None]``,
 * a *filter bank* is a ``(K, L)`` array, one length-``L`` filter per row,
-* *features* are ``(B, K, d, L)``: time last, so FFTs run along a contiguous axis.
+* one channel's convolution is ``(B, d, L)``, time last for the FFTs, and is
+  consumed where it is made: no ``(B, K, d, L)`` array exists.
 
 Causal convolution is defined as ``out[t] = sum_{tau=0..t} f[tau] * s[t-tau]``
 (0-indexed): the tap at lag zero participates, and ``out[t]`` never reads
@@ -16,6 +17,9 @@ Causal convolution is defined as ``out[t] = sum_{tau=0..t} f[tau] * s[t-tau]``
 """
 
 from __future__ import annotations
+
+import ctypes
+import os
 
 import numpy as np
 import scipy.fft
@@ -31,6 +35,17 @@ __all__ = [
 
 #: Relative asymmetry tolerated by :func:`symmetric_eig`.
 SYMMETRY_RTOL = 1e-12
+
+
+# Pin glibc's malloc thresholds (mmap 32 MiB, trim 64 MiB) at the values its
+# dynamic rule reaches once a 32 MiB block is freed.  A layer's arrays are a
+# few MiB, so from the 128 KiB default every call hands its memory back and
+# faults it in again: 5222 minor faults per forward at the desk geometry,
+# K=2, against 13 with these values.
+_libc = ctypes.CDLL(None) if os.name == "posix" else None
+if hasattr(_libc, "mallopt"):
+    _libc.mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    _libc.mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
 
 
 def _as_float_array(x, name: str) -> np.ndarray:
@@ -98,77 +113,84 @@ def symmetric_eig(m) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def fft_causal_conv_bank(filters, signal) -> np.ndarray:
-    """Convolve a bank of filters against every feature column at once.
-
-    Both operands are zero-padded to the next power of two >= 2L-1, so the
-    circular convolution theorem yields the exact linear convolution, then
-    the result is truncated back to length L.  The signal and the filters
-    are transformed once; the product and its inverse transform run one
-    filter at a time, so no ``(B, K, d, 2L)`` intermediate exists and the
-    peak stays near the output's own size.
-
-    Args:
-        filters: ``(K, L)`` array, filter-major.
-        signal:  ``(B, L, d)`` array.
-
-    Returns:
-        ``(B, K, d, L)`` in the signal's dtype, C-contiguous, a fresh array
-        the caller owns: slot ``[b, k]`` is ``filters[k]`` convolved with
-        sequence ``b``.
-    """
+def _bank_spectra(filters, signal, mixing, weights):
+    """Checked signal and mixing, weights as (B, K, L), both spectra, padded length."""
     f = _as_float_array(filters, "filters")
     s = _as_float_array(signal, "signal")
-    if f.ndim != 2:
-        raise StructuralError(f"filter bank must be 2-D, got {f.shape}")
-    if s.ndim != 3:
-        raise StructuralError(f"signal must be (B, L, d), got {s.shape}")
-    length = s.shape[1]
-    if f.shape[1] != length:
+    if f.ndim != 2 or len(f) == 0 or s.ndim != 3 or f.shape[1] != s.shape[1]:
         raise StructuralError(
-            f"filter length {f.shape[1]} does not match signal length {length}"
+            f"need a (K, L) filter bank with K >= 1 and a (B, L, d) signal, "
+            f"got {f.shape} and {s.shape}"
         )
-    n = next_pow2(2 * length - 1)
-    f_hat = scipy.fft.rfft(f, n=n, axis=-1)  # (K, nf)
-    s_hat = scipy.fft.rfft(np.swapaxes(s, 1, 2), n=n, axis=-1)  # (B, d, nf)
-    out = np.empty((s.shape[0], f.shape[0], s.shape[2], length), dtype=s.dtype)
+    n = next_pow2(2 * s.shape[1] - 1)
+    f_hat = scipy.fft.rfft(f, n=n, axis=-1)
+    s_hat = scipy.fft.rfft(np.swapaxes(s, 1, 2), n=n, axis=-1)
+    w_t = None if weights is None else np.swapaxes(weights, 1, 2)
+    return s, np.asarray(mixing), w_t, f_hat, s_hat, n
+
+
+def _channels(f_hat, s_hat, n: int, length: int, dtype):
+    """Yield k, F_k and ``filters[k] ∗ signal`` as ``(B, d, L)``: every channel
+    reuses two buffers (numpy.fft takes ``out=``, scipy.fft does not), and
+    ``z_k`` may be weighted in place until the next one is drawn."""
+    product = np.empty(s_hat.shape, dtype=np.result_type(s_hat, f_hat))
+    z = np.empty(s_hat.shape[:2] + (n,), dtype=dtype)
     for k, f_k in enumerate(f_hat):
-        out[:, k] = scipy.fft.irfft(s_hat * f_k, n=n, axis=-1, overwrite_x=True)[..., :length]
+        np.fft.irfft(np.multiply(s_hat, f_k, out=product), n=n, axis=-1, out=z)
+        yield k, f_k, z[..., :length]
+
+
+def fft_causal_conv_bank(filters, signal, mixing, weights=None) -> np.ndarray:
+    """The spectral branch: ``sum_k mixing[k] @ (weights[..., k] * (filters[k] ∗ signal))``.
+
+    ``filters`` is ``(K, L)``, K >= 1, ``signal`` ``(B, L, d)``, ``mixing``
+    ``(K, e, d)``, ``weights`` ``(B, L, K)`` or None for unit weights (no
+    weighting pass).  Returns a fresh ``(B, L, e)`` array in the signal's
+    dtype, which weighting and mixing run in.  ``∗`` is causal convolution,
+    exact by zero-padding to the next power of two >= 2L-1.  Each channel
+    is inverse transformed, weighted in place and mixed into one
+    accumulator, so the peak does not grow with K.
+    """
+    s, mixing, w_t, f_hat, s_hat, n = _bank_spectra(filters, signal, mixing, weights)
+    out = np.empty(s.shape[:2] + mixing.shape[1:2], dtype=s.dtype)
+    buf = np.empty_like(out)
+    for k, _, z in _channels(f_hat, s_hat, n, s.shape[1], s.dtype):
+        if w_t is not None:
+            z *= w_t[:, k, None, :]
+        # (L, e) = z^T @ mixing[k]^T per sequence; the first channel starts the sum
+        np.matmul(np.swapaxes(z, 1, 2), mixing[k].T, out=buf if k else out)
+        if k:
+            out += buf
     return out
 
 
-def fft_causal_conv_bank_adjoint(filters, grad_features) -> np.ndarray:
-    """Adjoint of :func:`fft_causal_conv_bank` with respect to the signal.
+def fft_causal_conv_bank_adjoint(filters, signal, mixing, grad, weights=None):
+    """Adjoint of :func:`fft_causal_conv_bank` for ``grad`` ``(B, L, e)``:
+    ``(dsignal, dmixing, dweights)``, dweights None when ``weights`` is.
 
-    Given upstream gradients for the per-filter features, accumulates
-    ``dsignal[b, t] = sum_k sum_{t' >= t} filters[k][t' - t] * grad[b, k][t']``
-    (causal cross-correlation, summed over the bank).  The spectra of the
-    channels are accumulated one at a time into one ``(B, d, nf)`` sum, so
-    the only transform of ``d`` rows per sequence is the final inverse.
-
-    Args:
-        filters: ``(K, L)``.
-        grad_features: ``(B, K, d, L)``, time last.
-
-    Returns:
-        ``(B, L, d)``.
+    Per channel: recompute ``z_k``, take ``dz_k = mixing[k]^T @ grad`` and
+    ``dweights[..., k] = <dz_k, z_k>``, weight both, take ``dmixing[k] =
+    sum_b grad @ z_k^T`` and add ``conj(F_k) * rfft(dz_k)`` into one
+    ``(B, d, nf)`` spectrum, whose inverse is ``dsignal``.
     """
-    f = _as_float_array(filters, "filters")
-    g = np.asarray(grad_features)
-    num, length = f.shape
-    if g.ndim != 4 or g.shape[1] != num or g.shape[3] != length:
-        raise StructuralError(
-            f"grad_features must be (B, {num}, d, {length}) for filter "
-            f"bank {f.shape}, got {g.shape}"
-        )
-    n = next_pow2(2 * length - 1)
-    f_hat = scipy.fft.rfft(f, n=n, axis=-1)  # (K, nf)
-    # (B, d, nf): sum_k conj(F_k) * rfft(g[:, k]), added in bank order from zero
-    acc = np.zeros((g.shape[0], g.shape[2], f_hat.shape[1]),
-                   dtype=np.result_type(g.dtype, np.complex64))
-    for k, f_k in enumerate(np.conj(f_hat)):
-        g_hat = scipy.fft.rfft(g[:, k], n=n, axis=-1)
-        g_hat *= f_k
-        acc += g_hat
-    acc = scipy.fft.irfft(acc, n=n, axis=-1, overwrite_x=True)
-    return np.swapaxes(acc[..., :length], 1, 2).astype(g.dtype, copy=False)
+    s, mixing, w_t, f_hat, s_hat, n = _bank_spectra(filters, signal, mixing, weights)
+    batch, length, width = s.shape
+    grad_t = np.swapaxes(grad, 1, 2)  # (B, e, L)
+    dmixing = np.empty(mixing.shape, dtype=s.dtype)
+    dweights = None if w_t is None else np.empty(w_t.shape, dtype=s.dtype)  # (B, K, L)
+    dz = np.empty((batch, width, length), dtype=s.dtype)
+    dz_hat = np.empty(s_hat.shape, dtype=np.result_type(s.dtype, np.complex64))
+    acc = np.zeros_like(dz_hat)  # sum_k conj(F_k) * rfft(dz_k), in bank order from zero
+    for k, f_k, z in _channels(f_hat, s_hat, n, length, s.dtype):
+        np.matmul(mixing[k].T, grad_t, out=dz)
+        if w_t is not None:
+            np.einsum("bdl,bdl->bl", dz, z, out=dweights[:, k])
+            z *= w_t[:, k, None, :]
+            dz *= w_t[:, k, None, :]
+        np.matmul(grad_t, np.swapaxes(z, 1, 2)).sum(axis=0, out=dmixing[k])
+        np.fft.rfft(dz, n=n, axis=-1, out=dz_hat)
+        dz_hat *= np.conj(f_k)
+        acc += dz_hat
+    acc = scipy.fft.irfft(acc, n=n, axis=-1, overwrite_x=True)[..., :length]
+    dsignal = np.swapaxes(acc, 1, 2).astype(s.dtype, copy=False)
+    return dsignal, dmixing, None if dweights is None else np.swapaxes(dweights, 1, 2)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .basis import SpectralBasis
 from .config import ModelConfig
-from .errors import ArtifactError, StructuralError
+from .errors import ArtifactError, ConfigError, StructuralError
 from .layer import GateParams, LayerCache, LayerParams, layer_forward
 from .storage import Reader, Writer, atomic_write, crc32
 
@@ -389,7 +389,10 @@ def params_from_checkpoint(data: bytes, what: str = "checkpoint") -> tuple[Model
     the container's CRC matches."""
     r = Reader(data, CHECKPOINT_MAGIC, what=what)
     r.expect_version(CHECKPOINT_VERSION)
-    config = ModelConfig.from_dict(r.json_block(), where=f"{what}.config")
+    try:
+        config = ModelConfig.from_dict(r.json_block(), where=f"{what}.config")
+    except ConfigError as exc:
+        raise ArtifactError(f"{what} holds an invalid config: {exc}") from exc
     arrays = {spec.name: r.array(spec.shape, config.precision)
               for spec in param_schema(config)}
     span = r.end()

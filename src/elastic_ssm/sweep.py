@@ -37,7 +37,6 @@ __all__ = [
     "flop_estimate",
     "model_bibo_audit",
     "run_ablation",
-    "training_cost_ratio",
 ]
 
 SWEET_SPOT_RETENTION = 0.98
@@ -312,19 +311,6 @@ def flop_estimate(config: ModelConfig, budget: int, batch: int = 1) -> int:
         config.seq_len, config.width, config.gate_hidden, config.capacity,
         budget, batch=batch,
     )
-
-
-def training_cost_ratio(budget_set: Sequence[int]) -> float:
-    """Spectral-branch cost of per-budget retraining vs one dropout run.
-
-    Separate trainings cost proportional to sum(K); a single budget-dropout
-    run with uniform sampling costs E[K] per step, so the ratio is
-    sum(K)/mean(K) = the number of budgets (9 for the default grid).
-    """
-    budgets = [int(k) for k in budget_set]
-    if not budgets:
-        raise ConfigError("budget set is empty")
-    return float(sum(budgets) / np.mean(budgets))
 
 
 # ---------------------------------------------------------------------------

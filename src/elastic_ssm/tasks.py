@@ -27,6 +27,7 @@ __all__ = [
     "bpb_metric",
     "build_dataset",
     "evaluate_model",
+    "forward_bytes_per_sequence",
     "gen_copy_task",
     "gen_lds_teacher",
     "gen_byte_lm",
@@ -37,11 +38,8 @@ __all__ = [
 BYTE_EVAL_FRAC = 0.05
 #: Synthetic tasks draw one extra eval sequence per this many train samples.
 SYNTH_EVAL_DIVISOR = 8
-#: Bytes of one layer's (B, K, d, L) float64 spectral features that an eval
-#: batch may hold: no layer keeps them past its call, so depth does not enter.
-#: The forward's transient peak is 1.4x this (traced, K=32): the features plus
-#: one channel's FFT intermediates, as the convolution runs channel by channel.
-EVAL_FEATURE_BYTES = 2**28
+#: Bytes the forward pass of one eval batch may hold.
+EVAL_BATCH_BYTES = 2**28
 
 
 @dataclass(frozen=True)
@@ -355,6 +353,18 @@ def build_dataset(task: TaskSpec, model: ModelConfig) -> Dataset:
 # ---------------------------------------------------------------------------
 
 
+def forward_bytes_per_sequence(config: ModelConfig) -> int:
+    """Bytes ``model_forward`` holds per sequence at its peak, at 8 a value:
+    every layer's norm and layer caches (input, scale, gate activations and
+    weights), plus one layer's working set (spectra, accumulators, output)."""
+    length, width = config.seq_len, config.width
+    gate = 2 * (config.gate_hidden + config.capacity) if config.gate_enabled else config.capacity
+    kept = length * (2 * width + 1 + gate)
+    n = next_pow2(2 * length - 1)  # two complex (d, n/2 + 1) spectra, one real (d, n)
+    working = width * (3 * n + 4) + length * 4 * width
+    return 8 * (config.depth * kept + working)
+
+
 def evaluate_model(
     params: ModelParams,
     config: ModelConfig,
@@ -368,8 +378,9 @@ def evaluate_model(
     Returns {"loss", "metric_name", "metric", "higher_better", ...} with
     task extras (mse / accuracy / nll, bpb, ppl).  Never mutates params.
     The gate and truncation mode are the config's (see ``model_forward``).
-    Sequences run in the largest batches whose spectral features in one
-    layer at this budget fit ``EVAL_FEATURE_BYTES``, whatever the depth.
+    Sequences run in the largest batches whose forward pass fits
+    ``EVAL_BATCH_BYTES`` (:func:`forward_bytes_per_sequence`), whatever the
+    budget.
     """
     if split == "eval":
         inputs, targets, mask = dataset.eval_inputs, dataset.eval_targets, dataset.eval_mask
@@ -382,8 +393,7 @@ def evaluate_model(
     total_weight = 0
     correct = 0
     counted = 0
-    per_sequence = budget * config.seq_len * config.width * 8
-    batch_size = max(1, EVAL_FEATURE_BYTES // per_sequence)
+    batch_size = max(1, EVAL_BATCH_BYTES // forward_bytes_per_sequence(config))
     for start in range(0, inputs.shape[0], batch_size):
         stop = min(start + batch_size, inputs.shape[0])
         batch_in = inputs[start:stop]

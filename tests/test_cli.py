@@ -230,6 +230,12 @@ class TestSweepCommand:
         bad.write_bytes(bytes(raw))
         assert main(["sweep", "--checkpoint", str(bad)]) == 3
 
+    def test_invalid_stored_config_exits_three(self, trained, capsys):
+        bad = trained.parent / "float6x.essm"
+        bad.write_bytes(trained.read_bytes().replace(b'"float64"', b'"float6x"', 1))
+        assert main(["sweep", "--checkpoint", str(bad)]) == 3
+        assert "precision" in capsys.readouterr().err
+
     def test_sibling_config_mismatch_exits_three(self, trained, tmp_path,
                                                  capsys):
         elsewhere = tmp_path / "elsewhere"

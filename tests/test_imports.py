@@ -1,5 +1,6 @@
 """Source hygiene: every name a package module, test or demo imports is
-used there, and every name a package module exports exists.
+used there, every name a package module exports exists, and no package
+module imports another one's private (underscore) names.
 
 pyflakes and ruff are not dependencies, so the check parses the modules with
 ``ast``: an imported name counts as used when it appears as a name in the
@@ -40,9 +41,31 @@ def unused_imports(source: str) -> list[str]:
                   if name not in used)
 
 
+def private_imports(source: str) -> list[str]:
+    """Underscore names imported from a package module, relatively or by name."""
+    return sorted(
+        f"line {node.lineno}: {alias.name}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "elastic_ssm")
+        for alias in node.names if alias.name.startswith("_")
+    )
+
+
 def test_the_check_sees_an_unused_import():
     assert unused_imports("import os\nimport math\nprint(math.pi)\n") == ["line 1: os"]
     assert unused_imports("from a import b\n__all__ = ['b']\n") == []
+
+
+def test_the_check_sees_a_private_import():
+    assert private_imports("from .layer import _x, y\n") == ["line 1: _x"]
+    assert private_imports("from elastic_ssm.layer import _x\n") == ["line 1: _x"]
+    assert private_imports("from .layer import x\nfrom os import _exit\n") == []
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_private_cross_module_imports(name):
+    assert private_imports((PACKAGE / name).read_text(encoding="utf-8")) == []
 
 
 @pytest.mark.parametrize("module", sorted(SOURCES))

@@ -2,11 +2,12 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from elastic_ssm.backprop import gelu_grad
+from elastic_ssm.backprop import gelu_grad, layer_backward
 from elastic_ssm.basis import build_basis
 from elastic_ssm.errors import BudgetError, StructuralError
 from elastic_ssm.layer import (
@@ -236,10 +237,11 @@ class TestLayerForward:
         u = rng.normal(size=(1, 16, 3))
         out, cache = layer_forward(u, p, basis16, budget=3, gate_enabled=False)
         assert np.all(cache.weights == 1.0)
-        feats = fft_causal_conv_bank(basis16.scaled_filters[:3], u)
         expected = u @ p.skip.T
         for k in range(3):
-            expected = expected + feats[0, k].T @ p.mixing[k].T
+            # one channel through a unit mixing matrix: filter_k convolved with u
+            feat = fft_causal_conv_bank(basis16.scaled_filters[k:k + 1], u, np.eye(3)[None])
+            expected = expected + feat[0] @ p.mixing[k].T
         np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("mode", [
@@ -256,6 +258,29 @@ class TestLayerForward:
         assert "u" in arrays and "weights" in arrays
         for name, arr in arrays.items():
             assert arr.shape[:2] == (2, 16), name
+
+    @pytest.mark.parametrize("mode", [{}, {"gate_enabled": False}])
+    def test_peaks_do_not_grow_with_the_budget(self, mode):
+        # B*L = 2*K*d at K=32: the (K, d, d) mixing gradient is half of one
+        # (B, L, d) array, where (B, K, d, L) features would be K of them
+        basis = build_basis(512, 32)
+        rng = np.random.default_rng(15)
+        p = random_layer_params(rng, width=64, gate_hidden=16, capacity=32)
+        u = rng.normal(size=(8, 512, 64))
+
+        def peaks(budget):
+            tracemalloc.start()
+            try:
+                out, cache = layer_forward(u, p, basis, budget, **mode)
+                forward = tracemalloc.get_traced_memory()[1]
+                tracemalloc.reset_peak()
+                layer_backward(np.ones_like(out), cache)
+                return forward, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        for small, large in zip(peaks(4), peaks(32)):
+            assert large <= 1.25 * small
 
     def test_causality(self, basis16):
         rng = np.random.default_rng(12)

@@ -1,7 +1,5 @@
 """Kernels: symmetric eigendecomposition, causal convolution."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -116,19 +114,23 @@ class TestDirectCausalConv:
             direct_causal_conv(np.ones(4), np.ones((5, 2)))
 
 
+def one_hot_mixing(num: int, width: int) -> np.ndarray:
+    """(K, K*d, d) mixing stack that puts channel k in output columns k*d..k*d+d."""
+    return np.eye(num * width).reshape(num, width, num * width).transpose(0, 2, 1)
+
+
+def bank_channels(filters, signal):
+    """Every filter convolved with every sequence, (B, K, L, d), from one bank call."""
+    num, (batch, length, width) = len(filters), signal.shape
+    out = fft_causal_conv_bank(filters, signal, one_hot_mixing(num, width))
+    return out.reshape(batch, length, num, width).transpose(0, 2, 1, 3)
+
+
 def conv_one(filt, signal):
     """One filter against one (L, d) sequence: the bank at K = B = 1, as (L, d)."""
-    return fft_causal_conv_bank(np.asarray(filt)[None], np.asarray(signal)[None])[0, 0].T
-
-
-def _peak_bytes(fn, *args) -> int:
-    """Peak bytes traced while ``fn(*args)`` runs, its result included."""
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    signal = np.asarray(signal)
+    return fft_causal_conv_bank(np.asarray(filt)[None], signal[None],
+                                np.eye(signal.shape[1])[None])[0]
 
 
 class TestFftCausalConv:
@@ -170,51 +172,49 @@ class TestFftCausalConv:
         rng = np.random.default_rng(5)
         filters = rng.normal(size=(4, 10))
         s = rng.normal(size=(1, 10, 3))
-        bank = fft_causal_conv_bank(filters, s)
+        bank = bank_channels(filters, s)
         for k in range(4):
-            np.testing.assert_allclose(bank[0, k].T, conv_one(filters[k], s[0]), atol=1e-12)
+            np.testing.assert_allclose(bank[0, k], conv_one(filters[k], s[0]), atol=1e-12)
 
     def test_bank_batched_matches_loop(self):
         rng = np.random.default_rng(6)
         filters = rng.normal(size=(3, 7))
         s = rng.normal(size=(5, 7, 2))
-        batched = fft_causal_conv_bank(filters, s)
-        assert batched.shape == (5, 3, 2, 7)
+        batched = bank_channels(filters, s)
+        assert batched.shape == (5, 3, 7, 2)
         for b in range(5):
-            alone = fft_causal_conv_bank(filters, s[b:b + 1])
+            alone = bank_channels(filters, s[b:b + 1])
             np.testing.assert_allclose(batched[b], alone[0])
 
     def test_adjoint_dot_product_identity(self):
-        # <conv(f, x), y> == <x, adjoint(f, y)> for every filter in the bank
+        # the bank is linear in the signal, the mixing stack and the weights
+        # separately: <bank(x, M, w), y> equals the inner product of each of
+        # them with its adjoint gradient
         rng = np.random.default_rng(8)
         filters = rng.normal(size=(3, 9))
         x = rng.normal(size=(2, 9, 2))
-        y = rng.normal(size=(2, 3, 2, 9))
-        fwd = fft_causal_conv_bank(filters, x)
-        lhs = float(np.sum(fwd * y))
-        rhs = float(np.sum(x * fft_causal_conv_bank_adjoint(filters, y)))
-        np.testing.assert_allclose(lhs, rhs, rtol=1e-10)
+        mixing = rng.normal(size=(3, 4, 2))
+        weights = rng.normal(size=(2, 9, 3))
+        y = rng.normal(size=(2, 9, 4))
+        lhs = float(np.sum(fft_causal_conv_bank(filters, x, mixing, weights) * y))
+        dx, dmixing, dweights = fft_causal_conv_bank_adjoint(filters, x, mixing, y, weights)
+        for operand, grad in ((x, dx), (mixing, dmixing), (weights, dweights)):
+            np.testing.assert_allclose(lhs, float(np.sum(operand * grad)), rtol=1e-10)
+        dx_unit, _, none = fft_causal_conv_bank_adjoint(filters, x, mixing, y)
+        assert none is None
+        np.testing.assert_allclose(
+            float(np.sum(fft_causal_conv_bank(filters, x, mixing) * y)),
+            float(np.sum(x * dx_unit)), rtol=1e-10)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bank_output_is_a_fresh_array_of_the_signal_dtype(self, dtype):
         rng = np.random.default_rng(9)
         s = rng.normal(size=(2, 16, 3)).astype(dtype)
-        out = fft_causal_conv_bank(rng.normal(size=(4, 16)), s)
-        assert out.shape == (2, 4, 3, 16)
+        out = fft_causal_conv_bank(rng.normal(size=(4, 16)), s,
+                                   rng.normal(size=(4, 5, 3)).astype(dtype))
+        assert out.shape == (2, 16, 5)
         assert out.dtype == dtype
         assert out.flags.c_contiguous and out.base is None
-
-    def test_kernels_never_hold_the_bank_spectra(self):
-        # B=1, K=32, d=64, L=256: a (B, K, d, 2L) spectrum would be 4x the
-        # features; one channel's intermediates are a few percent of them
-        rng = np.random.default_rng(10)
-        filters = rng.normal(size=(32, 256))
-        s = rng.normal(size=(1, 256, 64))
-        g = rng.normal(size=(1, 32, 64, 256))
-        bank_peak = _peak_bytes(fft_causal_conv_bank, filters, s)
-        adjoint_peak = _peak_bytes(fft_causal_conv_bank_adjoint, filters, g)
-        assert bank_peak <= 1.5 * g.nbytes
-        assert adjoint_peak <= 0.5 * g.nbytes
 
 
 class TestNextPow2:

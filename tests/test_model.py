@@ -237,12 +237,13 @@ class TestOneLayout:
 
     @staticmethod
     def calls(basis16):
-        filters = basis16.scaled_filters[:2]
+        filters, mixing = basis16.scaled_filters[:2], np.ones((2, 3, 3))
         tokens, reals = small_config(), small_config(input_kind="real", in_dim=3)
         lp = init_model_params(tokens).blocks[0].layer
         return {
-            "conv_bank": lambda: fft_causal_conv_bank(filters, np.ones((16, 3))),
-            "conv_adjoint": lambda: fft_causal_conv_bank_adjoint(filters, np.ones((2, 16, 3))),
+            "conv_bank": lambda: fft_causal_conv_bank(filters, np.ones((16, 3)), mixing),
+            "conv_adjoint": lambda: fft_causal_conv_bank_adjoint(
+                filters, np.ones((16, 3)), mixing, np.ones((16, 3))),
             "layer_forward": lambda: layer_forward(np.ones((16, 6)), lp, basis16, 2),
             "model_forward_tokens": lambda: model_forward(
                 np.zeros(16, dtype=int), init_model_params(tokens), tokens, basis16, 2),
@@ -349,6 +350,15 @@ class TestCheckpoint:
         data[len(data) // 2] ^= 0xFF
         path.write_bytes(bytes(data))
         with pytest.raises(ArtifactError, match="checksum"):
+            load_checkpoint(path)
+
+    def test_invalid_stored_config_rejected_as_artifact(self, tmp_path):
+        # the config JSON still parses, but names no precision
+        cfg = small_config()
+        path = tmp_path / "model.essm"
+        save_checkpoint(path, init_model_params(cfg), cfg)
+        path.write_bytes(path.read_bytes().replace(b'"float64"', b'"float6x"'))
+        with pytest.raises(ArtifactError, match="precision"):
             load_checkpoint(path)
 
     def test_truncated_file_rejected(self, tmp_path):

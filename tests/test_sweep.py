@@ -25,7 +25,6 @@ from elastic_ssm.sweep import (
     flop_estimate,
     model_bibo_audit,
     run_ablation,
-    training_cost_ratio,
     variant_run,
 )
 from elastic_ssm.tasks import build_dataset
@@ -444,19 +443,6 @@ class TestFlopAccounting:
             cfg.seq_len, cfg.width, cfg.gate_hidden, cfg.capacity, 3,
         )
         assert flop_estimate(cfg, 3, batch=2) == 2 * flop_estimate(cfg, 3)
-
-    def test_training_cost_ratio_default_grid_is_nine(self):
-        grid = (2, 3, 4, 6, 8, 12, 16, 24, 32)
-        assert sum(grid) == 107
-        assert training_cost_ratio(grid) == 9.0
-
-    def test_training_cost_ratio_equals_grid_size_under_uniform_sampling(self):
-        for grid in [(2, 4), (2, 3, 4, 6, 8), (5, 10, 20, 40)]:
-            assert training_cost_ratio(grid) == pytest.approx(len(grid))
-
-    def test_training_cost_ratio_rejects_empty(self):
-        with pytest.raises(ConfigError):
-            training_cost_ratio(())
 
 
 @pytest.fixture(scope="module")

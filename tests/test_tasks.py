@@ -1,6 +1,7 @@
 """Task generators: linear-system teacher, delayed copy, byte LM, metrics."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,7 @@ from elastic_ssm import tasks
 from elastic_ssm.basis import build_basis
 from elastic_ssm.config import ModelConfig, TaskSpec
 from elastic_ssm.errors import ArtifactError, ConfigError, NumericError
-from elastic_ssm.model import init_model_params
+from elastic_ssm.model import init_model_params, model_forward
 from elastic_ssm.tasks import (
     BYTE_EVAL_FRAC,
     Dataset,
@@ -414,11 +415,10 @@ class TestEvaluateModel:
 
     def test_batching_does_not_change_result(self, monkeypatch):
         # weighted accumulation: chopping the eval set into uneven batches
-        # must reproduce the single-batch numbers.  The batch counts one
-        # layer's features, so depth 2 splits the same way as depth 1.
+        # must reproduce the single-batch numbers.  The batch counts every
+        # layer's caches, so the limit that splits 5 + 3 grows with the depth.
         _, shallow, basis, dataset = small_setup("copy")
         sizes = self.batch_sizes(monkeypatch)
-        features = 4 * shallow.seq_len * shallow.width * 8
         for depth in (1, 2):
             config = replace(shallow, depth=depth)
             params = init_model_params(config)
@@ -426,12 +426,33 @@ class TestEvaluateModel:
             whole = evaluate_model(params, config, basis, dataset, budget=4)
             assert sizes == [8]
             with monkeypatch.context() as patch:
-                patch.setattr(tasks, "EVAL_FEATURE_BYTES", 5 * features + 7)
+                per_sequence = tasks.forward_bytes_per_sequence(config)
+                patch.setattr(tasks, "EVAL_BATCH_BYTES", 5 * per_sequence + 7)
                 sizes.clear()
                 pieces = evaluate_model(params, config, basis, dataset, budget=4)
             assert sizes == [5, 3]
             assert pieces["loss"] == pytest.approx(whole["loss"], rel=1e-12)
             assert pieces["accuracy"] == whole["accuracy"]
+
+    @pytest.mark.parametrize("overrides", [{}, {"gate_enabled": False}])
+    def test_batch_rule_tracks_the_traced_forward_peak(self, overrides):
+        # desk geometry, depth 2: at the smallest and the largest budget, what
+        # model_forward holds per sequence is within 20% of the rule
+        config = ModelConfig(seq_len=256, width=64, gate_hidden=32, capacity=32,
+                             depth=2, input_kind="real", in_dim=1, out_dim=1,
+                             budget_set=(2, 32), **overrides)
+        basis = build_basis(256, 32)
+        params = init_model_params(config)
+        inputs = np.random.default_rng(0).normal(size=(2, 256, 1))
+        rule = tasks.forward_bytes_per_sequence(config)
+        for budget in (2, 32):
+            tracemalloc.start()
+            try:
+                model_forward(inputs, params, config, basis, budget)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert 0.8 <= peak / (2 * rule) <= 1.2, (budget, peak / (2 * rule))
 
     @pytest.mark.parametrize("seq_len,width,depth,capacity,n_eval", [
         (256, 64, 2, 32, 32),  # desk-scale elasticity criterion (desk-lds: 8)
