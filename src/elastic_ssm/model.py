@@ -16,6 +16,7 @@ canonical-JSON config, raw little-endian tensors, CRC32).
 
 from __future__ import annotations
 
+import mmap
 import os
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -406,11 +407,11 @@ def load_checkpoint(
     """Load params + config; optionally validate compatibility with a basis.
 
     Ignores any appended optimizer block (see training.load_training_checkpoint
-    for that).  A basis whose (seq_len, capacity) disagree with the stored
-    config raises ArtifactError.
+    for that): the file is mapped, so that block is never read.  A basis whose
+    (seq_len, capacity) disagree with the stored config raises ArtifactError.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
+    with open(path, "rb") as fh:  # an empty file cannot be mapped
+        data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) if os.path.getsize(path) else b""
     params, config, _ = params_from_checkpoint(data, what=f"checkpoint {os.fspath(path)!r}")
     if basis is not None and (
         basis.seq_len != config.seq_len or basis.capacity != config.capacity

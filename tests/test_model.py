@@ -394,6 +394,21 @@ class TestCheckpoint:
         p2, cfg2 = load_checkpoint(path)
         assert cfg2 == cfg
 
+    def test_loaded_params_own_their_memory(self, tmp_path):
+        # the file is mapped while it is read; no tensor may keep a view of it
+        cfg = small_config()
+        path = tmp_path / "model.essm"
+        save_checkpoint(path, init_model_params(cfg), cfg)
+        p2, cfg2 = load_checkpoint(path)
+        for name, arr in flatten_params(p2, cfg2):
+            assert arr.flags.owndata and arr.flags.writeable, name
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "model.essm"
+        path.write_bytes(b"")
+        with pytest.raises(ArtifactError, match="truncated"):
+            load_checkpoint(path)
+
     def test_blob_with_removed_gate_input_key_loads(self, tmp_path):
         # the container as written while ModelConfig still had gate_input
         cfg = small_config()
