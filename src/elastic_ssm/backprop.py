@@ -6,8 +6,15 @@ Everything is hand-derived against the forward code in ``layer.py`` and
 * softmax:          ds = w * (dw - <dw, w>)
 * RMS rescale:      z = a * c(n), c = sqrt(K)/(n + eps), n = ||a||
                     da = c * dz - sqrt(K) * <dz, a> * a / (n * (n + eps)^2)
-* GELU:             d/dx [x * Phi(x)] = Phi(x) + x * phi(x)
+* GELU:             d/dx [x * Phi(x)] = Phi(x) + x * phi(x), with Phi(x)
+                    from the erf term the forward keeps (``LayerCache.gelu_erf``),
+                    which also rebuilds the gate's hidden layer
 * causal conv bank: adjoint is causal correlation with the same filters
+
+Every weight gradient (skip, gate, readout, embedding projection) is a sum
+over the B*L positions of an outer product; it is formed as one GEMM over the
+flattened positions (``_weight_grad``), which BLAS runs, where ``np.einsum``
+without ``optimize`` runs its own loops.
 
 Budget masking: at runtime budget K, rows k >= K of the mixing stack and
 of the gate's output layer are untouched by the forward pass, and the
@@ -29,7 +36,7 @@ import numpy as np
 from scipy.special import erf
 
 from .errors import NumericError, StructuralError
-from .layer import GateParams, LayerCache, LayerParams
+from .layer import GateParams, LayerCache, LayerParams, gelu
 from .linalg import fft_causal_conv_bank_adjoint
 from .model import (
     ModelCache,
@@ -143,12 +150,24 @@ def mean_squared_error(pred, target, mask=None):
 # ---------------------------------------------------------------------------
 
 
-def gelu_grad(x: np.ndarray) -> np.ndarray:
-    """d/dx [x * Phi(x)] = Phi(x) + x * phi(x)."""
+def gelu_grad(x: np.ndarray, erf_term: Optional[np.ndarray] = None) -> np.ndarray:
+    """d/dx [x * Phi(x)] = Phi(x) + x * phi(x).
+
+    ``erf_term`` is ``erf(x / sqrt 2)`` when the caller already holds it, as
+    ``LayerCache.gelu_erf`` does for the gate's pre-activations.
+    """
     x = np.asarray(x)
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    if erf_term is None:
+        erf_term = erf(x * _INV_SQRT2)
+    cdf = 0.5 * (1.0 + erf_term)
     pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
     return cdf + x * pdf
+
+
+def _weight_grad(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """``out[i, j] = sum over leading axes of a[..., i] * b[..., j]``, as one
+    GEMM over the flattened leading axes (BLAS, where ``np.einsum`` is not)."""
+    np.matmul(a.reshape(-1, a.shape[-1]).T, b.reshape(-1, b.shape[-1]), out=out)
 
 
 def _softmax_vjp(w, dw):
@@ -188,7 +207,8 @@ def layer_backward(
     gradient through the full-capacity softmax, so every gate row is live
     there (mixing rows >= budget stay zero: the forward never reads them).
     The spectral gradients come from one adjoint call, which recomputes the
-    channels from ``cache.u`` one at a time, so no pass holds all K at once.
+    channels from ``cache.u`` one at a time, so no pass holds all K at once,
+    and writes the mixing gradient straight into its rows of ``grads``.
     """
     p = cache.params
     budget = cache.budget
@@ -201,10 +221,10 @@ def layer_backward(
     g = _zeros_like_layer(p) if out is None else out
 
     # out = u @ skip^T + the spectral branch, as the forward computes it
-    g.skip[...] = np.einsum("ble,blf->ef", dout, cache.u)
-    dspectral, g.mixing[:budget], dweights = fft_causal_conv_bank_adjoint(
+    _weight_grad(dout, cache.u, out=g.skip)
+    dspectral, _, dweights = fft_causal_conv_bank_adjoint(
         cache.basis.scaled_filters[:budget], cache.u, p.mixing[:budget], dout,
-        cache.weights if cache.gate_enabled else None,
+        cache.weights if cache.gate_enabled else None, dmixing=g.mixing[:budget],
     )
     du = dout @ p.skip + dspectral
 
@@ -219,12 +239,13 @@ def layer_backward(
         # scatter into the full-capacity logit gradient; rows >= active stay 0.0
         dlogits = np.zeros_like(cache.logits)
         dlogits[..., :active] = dactive
-        g.gate.w_out[:active] = np.einsum("blk,blh->kh", dactive, cache.hidden)
+        hidden = gelu(cache.pre, cache.gelu_erf)
+        _weight_grad(dactive, hidden, out=g.gate.w_out[:active])
         g.gate.b_out[:active] = dactive.sum(axis=(0, 1))
 
         dhidden = dlogits @ p.gate.w_out
-        dpre = dhidden * gelu_grad(cache.pre)
-        g.gate.w_in[...] = np.einsum("blh,bld->hd", dpre, cache.u)
+        dpre = dhidden * gelu_grad(cache.pre, cache.gelu_erf)
+        _weight_grad(dpre, cache.u, out=g.gate.w_in)
         g.gate.b_in[...] = dpre.sum(axis=(0, 1))
         du += dpre @ p.gate.w_in
 
@@ -288,11 +309,11 @@ def model_backward(dout, cache: ModelCache) -> dict[str, np.ndarray]:
             f"output gradient shape {dout.shape} does not match {expected}"
         )
     if per_step:
-        g.readout_w[...] = np.einsum("blo,bld->od", dout, feats)
+        _weight_grad(dout, feats, out=g.readout_w)
         g.readout_b[...] = dout.sum(axis=(0, 1))
         dfeat = dout @ params.readout_w
     else:  # mean-pool
-        g.readout_w[...] = np.einsum("bo,bd->od", dout, feats.mean(axis=1))
+        _weight_grad(dout, feats.mean(axis=1), out=g.readout_w)
         g.readout_b[...] = dout.sum(axis=0)
         dpooled = dout @ params.readout_w
         dfeat = np.repeat(dpooled[:, None, :] / feats.shape[1], feats.shape[1], axis=1)
@@ -314,7 +335,7 @@ def model_backward(dout, cache: ModelCache) -> dict[str, np.ndarray]:
         flat_ids = cache.inputs.reshape(-1)
         np.add.at(g.embed_table, flat_ids, dx.reshape(-1, config.width))
     else:
-        g.embed_w[...] = np.einsum("bld,bli->di", dx, cache.inputs)
+        _weight_grad(dx, cache.inputs, out=g.embed_w)
         g.embed_b[...] = dx.sum(axis=(0, 1))
     return grads
 

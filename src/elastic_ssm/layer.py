@@ -43,10 +43,15 @@ __all__ = [
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    """Exact Gaussian-CDF GELU: x * Phi(x)."""
+def gelu(x: np.ndarray, erf_term: Optional[np.ndarray] = None) -> np.ndarray:
+    """Exact Gaussian-CDF GELU: x * Phi(x), Phi(x) = (1 + erf(x / sqrt 2)) / 2.
+
+    ``erf_term`` is ``erf(x / sqrt 2)`` when the caller already holds it.
+    """
     x = np.asarray(x)
-    return x * 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    if erf_term is None:
+        erf_term = erf(x * _INV_SQRT2)
+    return x * 0.5 * (1.0 + erf_term)
 
 
 @dataclass
@@ -119,10 +124,11 @@ class LayerParams:
 
 
 def _gate_mlp(u: np.ndarray, g: GateParams):
-    """(pre-activation, hidden, logits) of the gate MLP on (..., d) input."""
+    """(pre-activation, its GELU's erf term, logits) of the gate MLP on (..., d)
+    input; the backward rebuilds the hidden layer from the first two."""
     pre = u @ g.w_in.T + g.b_in
-    hidden = gelu(pre)
-    return pre, hidden, hidden @ g.w_out.T + g.b_out
+    erf_term = erf(pre * _INV_SQRT2)
+    return pre, erf_term, gelu(pre, erf_term) @ g.w_out.T + g.b_out
 
 
 def gate_logits(u, g: GateParams) -> np.ndarray:
@@ -218,7 +224,7 @@ class LayerCache:
     gate_enabled: bool
     truncation: str
     pre: Optional[np.ndarray]  # (B, L, d_g) gate pre-activations
-    hidden: Optional[np.ndarray]  # (B, L, d_g) gate hidden (post GELU)
+    gelu_erf: Optional[np.ndarray]  # (B, L, d_g) erf(pre / sqrt 2), the GELU's erf term
     logits: Optional[np.ndarray]  # (B, L, capacity) gate logits
     weights: np.ndarray  # (B, L, K) active mixture weights
     weights_full: Optional[np.ndarray]  # (B, L, capacity) gate output, zero past K when masked
@@ -273,9 +279,9 @@ def layer_forward(
         raise StructuralError(f"unknown truncation mode {truncation!r}")
     _check_budget(budget, p.capacity)
 
-    pre = hidden = logits = weights_full = None
+    pre = gelu_erf = logits = weights_full = None
     if gate_enabled:
-        pre, hidden, logits = _gate_mlp(u, p.gate)  # logits: (B, L, capacity)
+        pre, gelu_erf, logits = _gate_mlp(u, p.gate)  # logits: (B, L, capacity)
         # masked: renormalize over the budget; direct: over every channel,
         # then keep the first K weights without renormalizing
         active = budget if truncation == "masked" else p.capacity
@@ -296,7 +302,7 @@ def layer_forward(
         gate_enabled=gate_enabled,
         truncation=truncation,
         pre=pre,
-        hidden=hidden,
+        gelu_erf=gelu_erf,
         logits=logits,
         weights=weights,
         weights_full=weights_full,

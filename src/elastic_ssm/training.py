@@ -457,6 +457,7 @@ def run_training(
     last = {"grad_norm": float("nan"), "lr": float("nan"), "loss": float("nan")}
     max_skips = train_cfg.max_skip_frac * train_cfg.steps
     final_eval = None  # a cadence eval of the current parameters, if any
+    saved_at = None  # steps completed when the cadence last saved, if it has
 
     end_step = train_cfg.steps
     if stop_after is not None:
@@ -516,8 +517,10 @@ def run_training(
             and (step + 1) % train_cfg.checkpoint_every == 0
         ):
             save_training_checkpoint(checkpoint_path, params, model_cfg, state)
+            saved_at = state.completed
 
-    if checkpoint_path is not None:
+    # the cadence may just have written this very state
+    if checkpoint_path is not None and saved_at != state.completed:
         save_training_checkpoint(checkpoint_path, params, model_cfg, state)
 
     if final_eval is None:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import elastic_ssm.backprop as backprop_module
 from elastic_ssm.backprop import (
     finite_diff_check,
     layer_backward,
@@ -368,3 +369,98 @@ class TestModelGradcheck:
         text = report.line()
         assert "gradcheck" in text and "max relative error" in text
         assert ("PASS" if report.passed else "FAIL") in text
+
+
+# ---------------------------------------------------------------------------
+# weight gradients: one GEMM per site, checked against the einsum definitions
+# ---------------------------------------------------------------------------
+
+
+def einsum_weight_grad(a, b, out):
+    """The definition of every weight-gradient site: ``out[i, j]`` is the sum
+    over the leading axes of ``a[..., i] * b[..., j]``."""
+    lead = "abcdefgh"[: a.ndim - 1]
+    out[...] = np.einsum(f"{lead}i,{lead}j->ij", a, b)
+
+
+def backward_both_ways(monkeypatch, backward):
+    """``backward()``'s gradients through the GEMM helper and through the
+    einsum definitions, and the output shapes of the helper's calls."""
+    gemm, calls = backprop_module._weight_grad, []
+
+    def counted(a, b, out):
+        calls.append(out.shape)
+        gemm(a, b, out=out)
+
+    monkeypatch.setattr(backprop_module, "_weight_grad", counted)
+    fast = backward()
+    monkeypatch.setattr(backprop_module, "_weight_grad", einsum_weight_grad)
+    return fast, backward(), calls
+
+
+def assert_rel_close(got, want, rtol):
+    for name, ref in want.items():
+        assert got[name].dtype == ref.dtype, name
+        scale = max(float(np.max(np.abs(ref))), 1e-300)
+        assert np.max(np.abs(got[name] - ref)) <= rtol * scale, name
+        # inactive rows are zero on both sides, bitwise
+        assert np.array_equal(got[name] == 0.0, ref == 0.0), name
+
+
+class TestWeightGradients:
+    @pytest.mark.parametrize("mode,gate_on", [
+        ("masked", True), ("direct", True), ("masked", False),
+    ])
+    @pytest.mark.parametrize("contiguous", [True, False])
+    def test_layer_backward_matches_einsum(self, basis16, monkeypatch, mode,
+                                           gate_on, contiguous):
+        rng = np.random.default_rng(31)
+        p = random_layer_params(rng, width=5, gate_hidden=4, capacity=6)
+        u = rng.normal(size=(3, 16, 5))
+        _, cache = layer_forward(u, p, basis16, 3, gate_enabled=gate_on,
+                                 truncation=mode)
+        upstream = rng.normal(size=(3, 5, 16)).transpose(0, 2, 1)
+        if contiguous:
+            upstream = np.ascontiguousarray(upstream)
+        fast, slow, calls = backward_both_ways(
+            monkeypatch, lambda: layer_backward(upstream, cache))
+        assert len(calls) == (3 if gate_on else 1)  # skip, gate.w_out, gate.w_in
+        np.testing.assert_allclose(fast[0], slow[0], rtol=1e-12, atol=0)
+        assert_rel_close(fast[1], slow[1], 1e-12)
+
+    @pytest.mark.parametrize("kind,head,gate_on,mode", [
+        ("tokens", "per-step", True, "masked"),
+        ("tokens", "mean-pool", True, "direct"),
+        ("real", "per-step", True, "direct"),
+        ("real", "mean-pool", False, "masked"),
+    ])
+    def test_model_backward_matches_einsum(self, basis8, monkeypatch, kind, head,
+                                           gate_on, mode):
+        extra = {} if kind == "tokens" else dict(input_kind="real", in_dim=2, out_dim=3)
+        cfg = tiny_config(depth=2, head=head, gate_enabled=gate_on,
+                          truncation_mode=mode, **extra)
+        params = init_model_params(cfg)
+        rng = np.random.default_rng(32)
+        x = (rng.integers(0, 7, size=(3, 8)) if kind == "tokens"
+             else rng.normal(size=(3, 8, 2)))
+        out, cache = model_forward(x, params, cfg, basis8, 3)
+        # a non-contiguous upstream gradient, as a transposed view
+        dout = rng.normal(size=out.shape[::-1]).T
+        assert not dout.flags.c_contiguous
+        fast, slow, calls = backward_both_ways(
+            monkeypatch, lambda: model_backward(dout, cache))
+        per_layer = 3 if gate_on else 1
+        assert len(calls) == 2 * per_layer + (1 if kind == "tokens" else 2)
+        assert_rel_close(fast, slow, 1e-12)
+
+    def test_float32_stays_float32(self, basis8, monkeypatch):
+        cfg = tiny_config(depth=2, input_kind="real", in_dim=2, out_dim=3,
+                          precision="float32")
+        params = init_model_params(cfg)
+        rng = np.random.default_rng(33)
+        out, cache = model_forward(rng.normal(size=(3, 8, 2)).astype(np.float32),
+                                   params, cfg, basis8, 3)
+        dout = rng.normal(size=out.shape).astype(np.float32)
+        fast, slow, _ = backward_both_ways(monkeypatch, lambda: model_backward(dout, cache))
+        assert all(g.dtype == np.float32 for g in fast.values())
+        assert_rel_close(fast, slow, 1e-5)

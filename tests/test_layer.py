@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from elastic_ssm.backprop import gelu_grad, layer_backward
 from elastic_ssm.basis import build_basis
@@ -23,6 +24,8 @@ from elastic_ssm.layer import (
 from elastic_ssm.linalg import fft_causal_conv_bank
 
 from oracles import naive_budgeted_layer, scalar_gelu
+
+INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +68,20 @@ class TestGelu:
         h = 1e-6
         fd = (gelu(xs + h) - gelu(xs - h)) / (2 * h)
         np.testing.assert_allclose(gelu_grad(xs), fd, atol=1e-9)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_cached_erf_term_gives_the_same_bits(self, dtype):
+        # the forward keeps erf(x / sqrt 2) and the backward reuses it; both
+        # must equal the one-expression forms bit for bit
+        x = np.linspace(-6.0, 6.0, 1001).astype(dtype)
+        term = erf(x * INV_SQRT2)
+        assert np.array_equal(gelu(x, term), x * 0.5 * (1.0 + erf(x * INV_SQRT2)))
+        assert np.array_equal(gelu(x, term), gelu(x))
+        want = 0.5 * (1.0 + erf(x * INV_SQRT2)) + x * (
+            np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi)))
+        assert np.array_equal(gelu_grad(x), want)
+        assert np.array_equal(gelu_grad(x, term), want)
+        assert gelu_grad(x, term).dtype == dtype
 
 
 class TestRmsRescale:
@@ -183,6 +200,29 @@ class TestLayerForward:
                 basis16.eigenvalues, basis16.filters, budget,
             )
             np.testing.assert_allclose(out, expected, atol=1e-6)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_forward_keeps_the_one_expression_gelu(self, basis16, dtype):
+        # the cache holds erf(pre / sqrt 2) in place of the hidden layer; the
+        # output and logits stay those of x * 0.5 * (1 + erf(x / sqrt 2))
+        rng = np.random.default_rng(43)
+        p = random_layer_params(rng, width=4, gate_hidden=5, capacity=6)
+        p = dataclasses.replace(
+            p, mixing=p.mixing.astype(dtype), skip=p.skip.astype(dtype),
+            gate=GateParams(*(a.astype(dtype) for a in (
+                p.gate.w_in, p.gate.b_in, p.gate.w_out, p.gate.b_out))))
+        u = rng.normal(size=(3, 16, 4)).astype(dtype)
+        out, cache = layer_forward(u, p, basis16, budget=3)
+        pre = u @ p.gate.w_in.T + p.gate.b_in
+        hidden = pre * 0.5 * (1.0 + erf(pre * INV_SQRT2))
+        logits = hidden @ p.gate.w_out.T + p.gate.b_out
+        weights = masked_softmax(rms_rescale(logits, 3, p.gate.eps), 3, 6)[..., :3]
+        want = fft_causal_conv_bank(basis16.scaled_filters[:3], u, p.mixing[:3], weights)
+        want += u @ p.skip.T
+        assert out.dtype == dtype
+        assert np.array_equal(cache.gelu_erf, erf(pre * INV_SQRT2))
+        assert np.array_equal(cache.logits, logits)
+        assert np.array_equal(out, want)
 
     def test_weights_form_simplex(self, basis16):
         rng = np.random.default_rng(6)

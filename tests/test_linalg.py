@@ -206,6 +206,24 @@ class TestFftCausalConv:
             float(np.sum(fft_causal_conv_bank(filters, x, mixing) * y)),
             float(np.sum(x * dx_unit)), rtol=1e-10)
 
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_adjoint_writes_the_mixing_gradient_into_a_given_array(self, batch):
+        rng = np.random.default_rng(10)
+        filters = rng.normal(size=(3, 9))
+        x = rng.normal(size=(batch, 9, 2))
+        mixing = rng.normal(size=(3, 4, 2))
+        weights = rng.normal(size=(batch, 9, 3))
+        y = rng.normal(size=(batch, 9, 4))
+        _, fresh, _ = fft_causal_conv_bank_adjoint(filters, x, mixing, y, weights)
+        stack = np.full((5, 4, 2), 7.0)  # rows past the three channels stay as they are
+        _, given, _ = fft_causal_conv_bank_adjoint(filters, x, mixing, y, weights,
+                                                   dmixing=stack[:3])
+        assert np.shares_memory(given, stack)
+        assert np.array_equal(stack[:3], fresh)
+        assert np.all(stack[3:] == 7.0)
+        with pytest.raises(StructuralError):
+            fft_causal_conv_bank_adjoint(filters, x, mixing, y, dmixing=stack)
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bank_output_is_a_fresh_array_of_the_signal_dtype(self, dtype):
         rng = np.random.default_rng(9)

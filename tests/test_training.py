@@ -2,6 +2,7 @@
 
 import json
 import math
+import shutil
 
 import numpy as np
 import pytest
@@ -610,6 +611,34 @@ class TestRunTraining:
         assert paused["completed_steps"] == 30
         resumed = run_training(run, resume=ck, checkpoint_path=ck)
         assert resumed["finished"] is True
+        assert params_fingerprint(resumed["params"], run.model) == \
+            params_fingerprint(straight["params"], run.model)
+        for name in resumed["state"].m:
+            np.testing.assert_array_equal(resumed["state"].m[name],
+                                          straight["state"].m[name])
+            np.testing.assert_array_equal(resumed["state"].v[name],
+                                          straight["state"].v[name])
+
+    def test_cadence_checkpoint_written_once_and_resumable(self, tmp_path, monkeypatch):
+        run = copy_run(steps=10, eval_every=5, checkpoint_every=5)
+        straight = run_training(run)
+        writes = []
+
+        def counted(path, params, config, state):
+            save_training_checkpoint(path, params, config, state)
+            writes.append(state.completed)
+            shutil.copyfile(path, tmp_path / f"at{state.completed}.essm")
+
+        monkeypatch.setattr(training_module, "save_training_checkpoint", counted)
+        ck = tmp_path / "ck.essm"
+        run_training(run, checkpoint_path=ck)
+        assert writes == [5, 10]  # the last cadence save is the final state
+        writes.clear()
+        run_training(run, checkpoint_path=ck, stop_after=5)
+        assert writes == [5]
+
+        resumed = run_training(run, resume=tmp_path / "at5.essm")
+        assert resumed["completed_steps"] == 10
         assert params_fingerprint(resumed["params"], run.model) == \
             params_fingerprint(straight["params"], run.model)
         for name in resumed["state"].m:
