@@ -217,7 +217,8 @@ def layer_flop_count(
 @dataclass
 class LayerCache:
     """Forward activations for the backward pass, each (B, L, ...); the
-    backward recomputes the spectral channels from ``u``, one at a time."""
+    backward recomputes the spectral channels from ``u``, one at a time, and
+    the gate's hidden layer from ``pre`` and ``gelu_erf``."""
 
     u: np.ndarray  # (B, L, d) layer input
     budget: int
