@@ -154,7 +154,8 @@ def gelu_grad(x: np.ndarray, erf_term: Optional[np.ndarray] = None) -> np.ndarra
     """d/dx [x * Phi(x)] = Phi(x) + x * phi(x).
 
     ``erf_term`` is ``erf(x / sqrt 2)`` when the caller already holds it, as
-    ``LayerCache.gelu_erf`` does for the gate's pre-activations.
+    ``LayerCache.gelu_erf`` does for the gate's pre-activations; the default
+    computes it, for standalone use.
     """
     x = np.asarray(x)
     if erf_term is None:

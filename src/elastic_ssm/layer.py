@@ -46,7 +46,8 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 def gelu(x: np.ndarray, erf_term: Optional[np.ndarray] = None) -> np.ndarray:
     """Exact Gaussian-CDF GELU: x * Phi(x), Phi(x) = (1 + erf(x / sqrt 2)) / 2.
 
-    ``erf_term`` is ``erf(x / sqrt 2)`` when the caller already holds it.
+    ``erf_term`` is ``erf(x / sqrt 2)`` when the caller already holds it;
+    the default computes it, for standalone use.
     """
     x = np.asarray(x)
     if erf_term is None:

@@ -173,7 +173,8 @@ def fft_causal_conv_bank_adjoint(filters, signal, mixing, grad, weights=None,
     ``dweights[..., k] = <dz_k, z_k>``, weight both, take ``dmixing[k] =
     sum_b grad @ z_k^T`` and add ``conj(F_k) * rfft(dz_k)`` into one
     ``(B, d, nf)`` spectrum, whose inverse is ``dsignal``.  ``dmixing``, when
-    given, is the ``(K, e, d)`` array the mixing gradient is written into.
+    given, is the ``(K, e, d)`` array the mixing gradient is written into;
+    the default allocates one, for standalone use.
     """
     s, mixing, w_t, f_hat, s_hat, n = _bank_spectra(filters, signal, mixing, weights)
     batch, length, width = s.shape
@@ -185,10 +186,9 @@ def fft_causal_conv_bank_adjoint(filters, signal, mixing, grad, weights=None,
             f"dmixing is {dmixing.shape}, the mixing stack {mixing.shape}"
         )
     # one channel's per-sequence products grad[b] @ z_k[b]^T, summed into
-    # dmixing[k]; a single sequence's product is written there directly.  A
-    # loop over sequences would hold no (B, e, d) buffer, but runs 4x slower
-    # at B=16, L=32, d=16
-    per_seq = np.empty((batch,) + mixing.shape[1:], dtype=dmixing.dtype) if batch > 1 else None
+    # dmixing[k].  A loop over sequences would hold no (B, e, d) buffer, but
+    # runs 4x slower at B=16, L=32, d=16
+    per_seq = np.empty((batch,) + mixing.shape[1:], dtype=dmixing.dtype)
     dweights = None if w_t is None else np.empty(w_t.shape, dtype=s.dtype)  # (B, K, L)
     dz = np.empty((batch, width, length), dtype=s.dtype)
     dz_hat = np.empty(s_hat.shape, dtype=np.result_type(s.dtype, np.complex64))
@@ -199,10 +199,7 @@ def fft_causal_conv_bank_adjoint(filters, signal, mixing, grad, weights=None,
             np.einsum("bdl,bdl->bl", dz, z, out=dweights[:, k])
             z *= w_t[:, k, None, :]
             dz *= w_t[:, k, None, :]
-        if per_seq is None:
-            np.matmul(grad_t, np.swapaxes(z, 1, 2), out=dmixing[k, None])
-        else:
-            np.matmul(grad_t, np.swapaxes(z, 1, 2), out=per_seq).sum(axis=0, out=dmixing[k])
+        np.matmul(grad_t, np.swapaxes(z, 1, 2), out=per_seq).sum(axis=0, out=dmixing[k])
         np.fft.rfft(dz, n=n, axis=-1, out=dz_hat)
         dz_hat *= np.conj(f_k)
         acc += dz_hat
