@@ -36,7 +36,6 @@ from .layer import (
     layer_forward,
     masked_softmax,
 )
-from .linalg import symmetric_eig
 from .model import (
     ModelParams,
     init_model_params,
@@ -119,5 +118,4 @@ __all__ = [
     "save_basis",
     "save_checkpoint",
     "save_training_checkpoint",
-    "symmetric_eig",
 ]

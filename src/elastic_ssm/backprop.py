@@ -36,7 +36,7 @@ import numpy as np
 from scipy.special import erf
 
 from .errors import NumericError, StructuralError
-from .layer import GateParams, LayerCache, LayerParams, gelu
+from .layer import GateParams, LayerCache, LayerParams, gelu, live_logits
 from .linalg import fft_causal_conv_bank_adjoint
 from .model import (
     ModelCache,
@@ -223,16 +223,15 @@ def layer_backward(
 
     # out = u @ skip^T + the spectral branch, as the forward computes it
     _weight_grad(dout, cache.u, out=g.skip)
-    dspectral, _, dweights = fft_causal_conv_bank_adjoint(
+    dspectral, dweights = fft_causal_conv_bank_adjoint(
         cache.basis.scaled_filters[:budget], cache.u, p.mixing[:budget], dout,
         cache.weights if cache.gate_enabled else None, dmixing=g.mixing[:budget],
     )
     du = dout @ p.skip + dspectral
 
     if cache.gate_enabled:
-        # the forward's softmax ran over the first `active` logits: the budget
-        # (masked) or every channel (direct, prefix then dropped unrenormalized)
-        active = budget if cache.truncation == "masked" else p.capacity
+        # the forward's softmax ran over the first `active` logits
+        active = live_logits(cache.truncation, budget, p.capacity)
         dsoft = np.zeros(dweights.shape[:-1] + (active,), dtype=dweights.dtype)
         dsoft[..., :budget] = dweights
         dscaled = _softmax_vjp(cache.weights_full[..., :active], dsoft)

@@ -6,7 +6,9 @@ which expands to the closed form ``2 / (n^3 - n)`` with ``n = i + j``.  Its
 spectrum decays extremely fast, so a small number of top eigenvectors spans
 the impulse responses of stable linear systems to high accuracy.  The filter
 at rank ``k`` is the k-th eigenvector; the layer consumes the filters
-pre-scaled by ``eigenvalue ** (1/4)``.
+pre-scaled by ``eigenvalue ** (1/4)``.  :func:`build_basis` makes the one
+eigensolve call and fixes the order and sign of the filters;
+:class:`SpectralBasis` derives everything else from its two arrays.
 
 Bases are cached on disk keyed by (seq_len, capacity, format version); see
 :func:`get_or_build_basis`.
@@ -21,9 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ArtifactError, NumericError, StructuralError
-from .linalg import symmetric_eig
-from .storage import Reader, Writer, atomic_write
+from .errors import ArtifactError, ConvergenceError, NumericError, StructuralError
+from .storage import Reader, Writer, atomic_write, map_file
 
 __all__ = [
     "SpectralBasis",
@@ -49,7 +50,6 @@ CACHE_DIR_ENV = "ESSM_CACHE_DIR"
 RESIDUAL_RTOL = 1e-8  # eigen residual, relative to the largest eigenvalue
 ORTHO_ATOL = 1e-8  # max |<f_i, f_j> - delta_ij|
 UNIT_NORM_ATOL = 1e-10
-SCALED_RTOL = 1e-12
 
 
 def hankel_matrix(seq_len: int) -> np.ndarray:
@@ -64,22 +64,13 @@ def hankel_matrix(seq_len: int) -> np.ndarray:
 
 def scale_filters(eigenvalues: np.ndarray, filters: np.ndarray) -> np.ndarray:
     """Scale each filter by eigenvalue**(1/4), computed as exp(ln(sigma)/4)
-    to survive extreme underflow; nonpositive eigenvalues produce a zero
-    filter and a RuntimeWarning."""
+    to survive extreme underflow; a nonpositive eigenvalue gives a zero
+    filter."""
     eigenvalues = np.asarray(eigenvalues, dtype=np.float64)
-    filters = np.asarray(filters, dtype=np.float64)
     quarter = np.zeros_like(eigenvalues)
     positive = eigenvalues > 0.0
     quarter[positive] = np.exp(np.log(eigenvalues[positive]) / 4.0)
-    if not np.all(positive):
-        bad = np.flatnonzero(~positive)
-        warnings.warn(
-            f"{bad.size} eigenvalue(s) <= 0 at ranks {bad.tolist()}; their "
-            "scaled filters are set to zero",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return quarter[:, None] * filters
+    return quarter[:, None] * np.asarray(filters, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -87,34 +78,48 @@ class SpectralBasis:
     """Ordered top-``capacity`` eigenpairs of the length-``seq_len`` Hankel
     matrix.
 
-    ``filters`` is filter-major ``(capacity, seq_len)`` with unit-norm rows;
-    ``scaled_filters[k] = eigenvalues[k]**(1/4) * filters[k]``.
+    ``filters`` is filter-major ``(capacity, seq_len)`` with unit-norm rows,
+    and fixes both sizes; ``scaled_filters[k] = eigenvalues[k]**(1/4) *
+    filters[k]`` is computed once, here.
     """
 
-    seq_len: int
-    capacity: int
     eigenvalues: np.ndarray = field(repr=False)
     filters: np.ndarray = field(repr=False)
-    scaled_filters: np.ndarray = field(repr=False)
+    scaled_filters: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.eigenvalues.shape != (self.capacity,):
+        if self.filters.ndim != 2 or self.eigenvalues.shape != self.filters.shape[:1]:
             raise StructuralError(
-                f"eigenvalues shape {self.eigenvalues.shape} != ({self.capacity},)"
+                f"need (capacity,) eigenvalues and (capacity, seq_len) filters, "
+                f"got {self.eigenvalues.shape} and {self.filters.shape}"
             )
-        if self.filters.shape != (self.capacity, self.seq_len):
-            raise StructuralError(
-                f"filters shape {self.filters.shape} != "
-                f"({self.capacity}, {self.seq_len})"
-            )
-        if self.scaled_filters.shape != self.filters.shape:
-            raise StructuralError("scaled_filters shape mismatch")
+        object.__setattr__(self, "scaled_filters",
+                           scale_filters(self.eigenvalues, self.filters))
+
+    @property
+    def capacity(self) -> int:
+        return self.filters.shape[0]
+
+    @property
+    def seq_len(self) -> int:
+        return self.filters.shape[1]
+
+    def __repr__(self) -> str:
+        return f"SpectralBasis(seq_len={self.seq_len}, capacity={self.capacity})"
 
 
 def build_basis(seq_len: int, capacity: int) -> SpectralBasis:
     """Construct the top-``capacity`` spectral filter bank for ``seq_len``.
 
-    Raises StructuralError when capacity is outside [1, seq_len].
+    The filters come in descending eigenvalue order, each signed so that its
+    largest-magnitude entry is positive (ties go to the lowest index), which
+    makes the bank deterministic and comparable across platforms.  Roundoff
+    can leave tail eigenvalues of the PSD matrix at or below zero: they are
+    clamped to zero, their scaled filters are zero, and one RuntimeWarning
+    names their ranks.
+
+    Raises StructuralError when capacity is outside [1, seq_len], and
+    ConvergenceError when the eigensolver fails.
     """
     if seq_len < 1:
         raise StructuralError(f"seq_len must be >= 1, got {seq_len}")
@@ -124,27 +129,23 @@ def build_basis(seq_len: int, capacity: int) -> SpectralBasis:
             f"capacity={capacity}, seq_len={seq_len}"
         )
     z = hankel_matrix(seq_len)
-    eigenvalues, vectors = symmetric_eig(z)
-    top_vals = eigenvalues[:capacity].copy()
-    if np.any(top_vals < 0.0):
-        # Roundoff can push the numerically-zero tail slightly negative;
-        # the matrix itself is PSD.
+    try:
+        w, v = np.linalg.eigh(z)  # ascending
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc
+    eigenvalues = np.maximum(w[::-1][:capacity], 0.0)
+    filters = np.ascontiguousarray(v[:, ::-1][:, :capacity].T)
+    peak = filters[np.arange(capacity), np.argmax(np.abs(filters), axis=1)]
+    filters[peak < 0.0] *= -1.0
+    nonpositive = np.flatnonzero(eigenvalues <= 0.0)
+    if nonpositive.size:
         warnings.warn(
-            "clamping tiny negative tail eigenvalues of the PSD moment "
-            "matrix to zero",
+            f"{nonpositive.size} eigenvalue(s) <= 0 at ranks {nonpositive.tolist()}; "
+            "they are clamped to zero and their scaled filters are zero",
             RuntimeWarning,
             stacklevel=2,
         )
-        top_vals = np.maximum(top_vals, 0.0)
-    filters = np.ascontiguousarray(vectors[:, :capacity].T)
-    scaled = scale_filters(top_vals, filters)
-    basis = SpectralBasis(
-        seq_len=seq_len,
-        capacity=capacity,
-        eigenvalues=top_vals,
-        filters=filters,
-        scaled_filters=scaled,
-    )
+    basis = SpectralBasis(eigenvalues, filters)
     validate_basis(basis, z=z)
     return basis
 
@@ -153,8 +154,8 @@ def validate_basis(basis: SpectralBasis, z: np.ndarray | None = None) -> None:
     """Check the basis invariants; raise NumericError on any failure.
 
     Checks: monotone nonincreasing nonnegative eigenvalues, unit filter
-    norms, eigen residuals relative to the top eigenvalue, pairwise
-    orthonormality, and scaled-filter consistency.
+    norms, eigen residuals relative to the top eigenvalue, and pairwise
+    orthonormality.
     """
     ev = basis.eigenvalues
     if np.any(ev < 0.0):
@@ -180,11 +181,6 @@ def validate_basis(basis: SpectralBasis, z: np.ndarray | None = None) -> None:
     ortho_err = float(np.max(np.abs(gram - np.eye(basis.capacity))))
     if ortho_err > ORTHO_ATOL:
         raise NumericError(f"filters not orthonormal: max error {ortho_err:.3e}")
-    expected = scale_filters(basis.eigenvalues, basis.filters)
-    scale = np.maximum(np.abs(expected), 1.0)
-    err = float(np.max(np.abs(expected - basis.scaled_filters) / scale))
-    if err > SCALED_RTOL:
-        raise NumericError(f"scaled_filters inconsistent: max error {err:.3e}")
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +210,7 @@ def load_basis(
     disagrees raises ArtifactError rather than silently returning a bank
     built for different dimensions.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    r = Reader(data, MAGIC, what=f"basis file {os.fspath(path)!r}")
+    r = Reader(map_file(path), MAGIC, what=f"basis file {os.fspath(path)!r}")
     r.expect_version(FORMAT_VERSION)
     seq_len = r.u64()
     capacity = r.u32()
@@ -233,16 +227,7 @@ def load_basis(
     eigenvalues = r.array((capacity,), "float64")
     filters = r.array((capacity, seq_len), "float64")
     r.expect_end()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        scaled = scale_filters(eigenvalues, filters)
-    return SpectralBasis(
-        seq_len=seq_len,
-        capacity=capacity,
-        eigenvalues=eigenvalues,
-        filters=filters,
-        scaled_filters=scaled,
-    )
+    return SpectralBasis(eigenvalues, filters)
 
 
 def default_cache_dir() -> str:

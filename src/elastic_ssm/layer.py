@@ -36,6 +36,7 @@ __all__ = [
     "gelu",
     "layer_flop_count",
     "layer_forward",
+    "live_logits",
     "masked_softmax",
     "rms_rescale",
 ]
@@ -162,6 +163,13 @@ def rms_rescale(s, budget: int, eps: float) -> np.ndarray:
     return active * (math.sqrt(budget) / (norm + eps))
 
 
+def live_logits(truncation: str, budget: int, capacity: int) -> int:
+    """How many leading gate logits the weights at ``budget`` read: masked
+    truncation renormalizes over the first ``budget``, direct over all
+    ``capacity`` (then keeps the first ``budget`` weights unrenormalized)."""
+    return budget if truncation == "masked" else capacity
+
+
 def masked_softmax(scaled, budget: int, capacity: int) -> np.ndarray:
     """Softmax over the active prefix, exact zeros beyond it.
 
@@ -284,9 +292,7 @@ def layer_forward(
     pre = gelu_erf = logits = weights_full = None
     if gate_enabled:
         pre, gelu_erf, logits = _gate_mlp(u, p.gate)  # logits: (B, L, capacity)
-        # masked: renormalize over the budget; direct: over every channel,
-        # then keep the first K weights without renormalizing
-        active = budget if truncation == "masked" else p.capacity
+        active = live_logits(truncation, budget, p.capacity)
         scaled = rms_rescale(logits, active, p.gate.eps)
         weights_full = masked_softmax(scaled, active, p.capacity)
         weights = weights_full[..., :budget]  # (B, L, K)

@@ -1,6 +1,5 @@
-"""Dense linear-algebra kernels: symmetric eigendecomposition with a fixed
-sign convention, and the layer's spectral branch (FFT causal convolution
-with a filter bank, weighted and mixed channel by channel) with its adjoint.
+"""The layer's spectral branch: FFT causal convolution with a filter bank,
+weighted and mixed channel by channel, and its adjoint.
 
 Array conventions used throughout the package:
 
@@ -8,6 +7,7 @@ Array conventions used throughout the package:
 * sequences always come as a batch ``(B, L, d)`` (time-major within each
   sequence); one sequence ``x`` is passed as ``x[None]``,
 * a *filter bank* is a ``(K, L)`` array, one length-``L`` filter per row,
+  transformed in the signal's precision,
 * one channel's convolution is ``(B, d, L)``, time last for the FFTs, and is
   consumed where it is made: no ``(B, K, d, L)`` array exists.
 
@@ -24,17 +24,13 @@ import os
 import numpy as np
 import scipy.fft
 
-from .errors import ConvergenceError, StructuralError
+from .errors import StructuralError
 
 __all__ = [
     "fft_causal_conv_bank",
     "fft_causal_conv_bank_adjoint",
     "next_pow2",
-    "symmetric_eig",
 ]
-
-#: Relative asymmetry tolerated by :func:`symmetric_eig`.
-SYMMETRY_RTOL = 1e-12
 
 
 # Pin glibc's malloc thresholds (mmap 32 MiB, trim 64 MiB) at the values its
@@ -64,55 +60,6 @@ def next_pow2(n: int) -> int:
     return 1 << (int(n) - 1).bit_length()
 
 
-# ---------------------------------------------------------------------------
-# symmetric eigendecomposition
-# ---------------------------------------------------------------------------
-
-
-def symmetric_eig(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix.
-
-    Returns ``(eigenvalues, eigenvectors)`` with eigenvalues sorted in
-    descending order and eigenvectors as matching columns.  Each eigenvector
-    is sign-normalized so its largest-magnitude entry is positive, ties
-    broken toward the lowest index, which makes the output deterministic
-    and platform-comparable.
-
-    Raises:
-        StructuralError: if ``m`` is not square, not finite, or asymmetric
-            beyond ``1e-12`` relative to its largest entry.
-        ConvergenceError: if the underlying eigensolver fails.
-    """
-    a = _as_float_array(m, "matrix").astype(np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise StructuralError(f"symmetric_eig needs a square matrix, got {a.shape}")
-    scale = float(np.max(np.abs(a))) if a.size else 0.0
-    asym = float(np.max(np.abs(a - a.T))) if a.size else 0.0
-    if asym > SYMMETRY_RTOL * max(scale, np.finfo(np.float64).tiny):
-        raise StructuralError(
-            f"matrix is asymmetric: max|A - A^T| = {asym:.3e} "
-            f"exceeds {SYMMETRY_RTOL:.0e} * max|A| = {SYMMETRY_RTOL * scale:.3e}"
-        )
-    try:
-        w, v = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc
-    # ascending -> descending
-    w = w[::-1].copy()
-    v = v[:, ::-1].copy()
-    # sign convention: largest-|entry| positive, ties -> lowest index
-    idx = np.argmax(np.abs(v), axis=0)
-    signs = np.sign(v[idx, np.arange(v.shape[1])])
-    signs[signs == 0] = 1.0
-    v *= signs
-    return w, v
-
-
-# ---------------------------------------------------------------------------
-# causal convolution
-# ---------------------------------------------------------------------------
-
-
 def _bank_spectra(filters, signal, mixing, weights):
     """Checked signal and mixing, weights as (B, K, L), both spectra, padded length."""
     f = _as_float_array(filters, "filters")
@@ -123,7 +70,7 @@ def _bank_spectra(filters, signal, mixing, weights):
             f"got {f.shape} and {s.shape}"
         )
     n = next_pow2(2 * s.shape[1] - 1)
-    f_hat = scipy.fft.rfft(f, n=n, axis=-1)
+    f_hat = scipy.fft.rfft(f.astype(s.dtype, copy=False), n=n, axis=-1)
     s_hat = scipy.fft.rfft(np.swapaxes(s, 1, 2), n=n, axis=-1)
     w_t = None if weights is None else np.swapaxes(weights, 1, 2)
     return s, np.asarray(mixing), w_t, f_hat, s_hat, n
@@ -164,24 +111,21 @@ def fft_causal_conv_bank(filters, signal, mixing, weights=None) -> np.ndarray:
     return out
 
 
-def fft_causal_conv_bank_adjoint(filters, signal, mixing, grad, weights=None,
-                                 dmixing=None):
+def fft_causal_conv_bank_adjoint(filters, signal, mixing, grad, weights=None, *,
+                                 dmixing):
     """Adjoint of :func:`fft_causal_conv_bank` for ``grad`` ``(B, L, e)``:
-    ``(dsignal, dmixing, dweights)``, dweights None when ``weights`` is.
+    ``(dsignal, dweights)``, dweights None when ``weights`` is.  The mixing
+    gradient is written into ``dmixing``, a ``(K, e, d)`` array.
 
     Per channel: recompute ``z_k``, take ``dz_k = mixing[k]^T @ grad`` and
     ``dweights[..., k] = <dz_k, z_k>``, weight both, take ``dmixing[k] =
     sum_b grad @ z_k^T`` and add ``conj(F_k) * rfft(dz_k)`` into one
-    ``(B, d, nf)`` spectrum, whose inverse is ``dsignal``.  ``dmixing``, when
-    given, is the ``(K, e, d)`` array the mixing gradient is written into;
-    the default allocates one, for standalone use.
+    ``(B, d, nf)`` spectrum, whose inverse is ``dsignal``.
     """
     s, mixing, w_t, f_hat, s_hat, n = _bank_spectra(filters, signal, mixing, weights)
     batch, length, width = s.shape
     grad_t = np.swapaxes(grad, 1, 2)  # (B, e, L)
-    if dmixing is None:
-        dmixing = np.empty(mixing.shape, dtype=s.dtype)
-    elif dmixing.shape != mixing.shape:
+    if dmixing.shape != mixing.shape:
         raise StructuralError(
             f"dmixing is {dmixing.shape}, the mixing stack {mixing.shape}"
         )
@@ -205,4 +149,4 @@ def fft_causal_conv_bank_adjoint(filters, signal, mixing, grad, weights=None,
         acc += dz_hat
     acc = scipy.fft.irfft(acc, n=n, axis=-1, overwrite_x=True)[..., :length]
     dsignal = np.swapaxes(acc, 1, 2).astype(s.dtype, copy=False)
-    return dsignal, dmixing, None if dweights is None else np.swapaxes(dweights, 1, 2)
+    return dsignal, None if dweights is None else np.swapaxes(dweights, 1, 2)

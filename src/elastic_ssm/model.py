@@ -16,7 +16,6 @@ canonical-JSON config, raw little-endian tensors, CRC32).
 
 from __future__ import annotations
 
-import mmap
 import os
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -27,8 +26,8 @@ import numpy as np
 from .basis import SpectralBasis
 from .config import ModelConfig
 from .errors import ArtifactError, ConfigError, StructuralError
-from .layer import GateParams, LayerCache, LayerParams, layer_forward
-from .storage import Reader, Writer, atomic_write, crc32
+from .layer import GateParams, LayerCache, LayerParams, layer_forward, live_logits
+from .storage import Reader, Writer, atomic_write, crc32, map_file
 
 __all__ = [
     "BlockParams",
@@ -104,9 +103,7 @@ class ParamSpec:
             return 0  # a disabled gate is frozen
         if self.rows == "gate-in":
             return None
-        # gate-out: masked truncation reads rows < K, direct feeds every
-        # logit row into the full softmax
-        return budget if config.truncation_mode == "masked" else self.shape[0]
+        return live_logits(config.truncation_mode, budget, self.shape[0])  # gate-out
 
 
 _ZEROS, _ONES = ("zeros",), ("ones",)
@@ -410,9 +407,8 @@ def load_checkpoint(
     for that): the file is mapped, so that block is never read.  A basis whose
     (seq_len, capacity) disagree with the stored config raises ArtifactError.
     """
-    with open(path, "rb") as fh:  # an empty file cannot be mapped
-        data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) if os.path.getsize(path) else b""
-    params, config, _ = params_from_checkpoint(data, what=f"checkpoint {os.fspath(path)!r}")
+    params, config, _ = params_from_checkpoint(map_file(path),
+                                               what=f"checkpoint {os.fspath(path)!r}")
     if basis is not None and (
         basis.seq_len != config.seq_len or basis.capacity != config.capacity
     ):

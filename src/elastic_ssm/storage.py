@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
 import os
 import struct
 import tempfile
@@ -29,6 +30,7 @@ __all__ = [
     "atomic_write",
     "canonical_json",
     "crc32",
+    "map_file",
 ]
 
 
@@ -59,6 +61,17 @@ def atomic_write(path: str | os.PathLike, parts: Iterable) -> None:
         except OSError:
             pass
         raise
+
+
+def map_file(path: str | os.PathLike) -> mmap.mmap | bytes:
+    """The file's bytes, mapped read-only, so only the pages a reader touches
+    are read; ``b""`` for an empty file, which cannot be mapped.  The map is
+    released with its last reference, so a tensor must be copied out of it
+    (``Reader.array`` does)."""
+    with open(path, "rb") as fh:
+        if os.fstat(fh.fileno()).st_size == 0:
+            return b""
+        return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
 
 
 class Writer:

@@ -35,7 +35,7 @@ from .model import (
     param_schema,
     params_from_checkpoint,
 )
-from .storage import Reader, Writer, atomic_write
+from .storage import Reader, Writer, atomic_write, map_file
 from .tasks import Dataset, build_dataset, evaluate_model
 
 __all__ = [
@@ -352,8 +352,7 @@ def load_training_checkpoint(
     path: str | os.PathLike,
 ) -> tuple[ModelParams, ModelConfig, OptimizerState]:
     try:
-        with open(path, "rb") as fh:
-            data = fh.read()
+        data = map_file(path)
     except OSError as exc:
         raise ArtifactError(f"cannot read checkpoint {os.fspath(path)!r}: {exc}") from exc
     params, config, span = params_from_checkpoint(data, what=f"checkpoint {os.fspath(path)!r}")

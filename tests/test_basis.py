@@ -99,6 +99,49 @@ class TestBuildBasis:
         residual = z @ basis.filters.T - basis.filters.T * basis.eigenvalues[None, :]
         assert np.max(np.linalg.norm(residual, axis=0)) <= 1e-8 * basis.eigenvalues[0]
 
+    def test_pairs_are_the_moment_matrix_eigenpairs_in_descending_order(self):
+        # every pair of the full solve, in descending order, up to each
+        # filter's sign
+        for length in (1, 2, 6):
+            basis = build_basis(length, length)
+            w, v = np.linalg.eigh(hankel_matrix(length))
+            np.testing.assert_array_equal(basis.eigenvalues, w[::-1])
+            np.testing.assert_allclose(np.abs(basis.filters), np.abs(v[:, ::-1].T),
+                                       atol=1e-14)
+
+    def test_l8_full_spectrum_matches_frozen_oracle(self):
+        basis = build_basis(8, 8)
+        ref = np.array(REFERENCE_SPECTRA[8]["eigenvalues"])
+        assert np.all(np.diff(basis.eigenvalues) < 0), "spectrum must be strictly decreasing"
+        np.testing.assert_allclose(basis.eigenvalues, ref, atol=1e-8 * ref[0])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_residual_and_orthonormality_over_the_full_spectrum(self):
+        for length in (3, 8, 17):
+            basis = build_basis(length, length)
+            z = hankel_matrix(length)
+            residual = z @ basis.filters.T - basis.filters.T * basis.eigenvalues[None, :]
+            assert np.max(np.linalg.norm(residual, axis=0)) <= 1e-8 * basis.eigenvalues[0]
+            gram = basis.filters @ basis.filters.T
+            assert np.max(np.abs(gram - np.eye(length))) <= 1e-8
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_sign_convention(self):
+        # the largest-|entry| of each filter is positive, ties to the lowest index
+        for seq_len, capacity in ((2, 2), (16, 16), (32, 32), (48, 12), (256, 32)):
+            for filt in build_basis(seq_len, capacity).filters:
+                idx = np.argmax(np.abs(filt))
+                assert filt[idx] > 0
+                ties = np.flatnonzero(np.abs(filt) == np.abs(filt[idx]))
+                assert ties[0] == idx
+
+    def test_nonpositive_tail_warns_once_and_is_zeroed(self):
+        with pytest.warns(RuntimeWarning, match=r"ranks \[24, 25, 26, 27, 28, 29, 30, 31\]") as rec:
+            basis = build_basis(32, 32)
+        assert len(rec) == 1
+        assert np.all(basis.eigenvalues[24:] == 0.0) and np.all(basis.eigenvalues[:24] > 0.0)
+        np.testing.assert_array_equal(basis.scaled_filters[24:], 0.0)
+
     def test_rejects_capacity_above_length(self):
         with pytest.raises(StructuralError):
             build_basis(16, 17)
@@ -142,10 +185,11 @@ class TestBuildBasis:
 
 
 class TestScaleFilters:
-    def test_nonpositive_eigenvalue_warns_and_zeroes(self):
+    @pytest.mark.filterwarnings("error")
+    def test_nonpositive_eigenvalue_zeroes_silently(self):
+        # build_basis warns once about the ranks; scaling itself is silent
         filters = np.ones((2, 4)) / 2.0
-        with pytest.warns(RuntimeWarning):
-            scaled = scale_filters(np.array([1.0, 0.0]), filters)
+        scaled = scale_filters(np.array([1.0, 0.0]), filters)
         np.testing.assert_allclose(scaled[0], filters[0])
         np.testing.assert_array_equal(scaled[1], np.zeros(4))
 
@@ -154,6 +198,25 @@ class TestScaleFilters:
         tiny = 1e-290
         scaled = scale_filters(np.array([tiny]), np.ones((1, 3)))
         np.testing.assert_allclose(scaled[0], tiny**0.25, rtol=1e-12)
+
+
+class TestSpectralBasis:
+    def test_shape_and_scaled_filters_derive_from_the_two_arrays(self):
+        built = build_basis(32, 8)
+        basis = SpectralBasis(built.eigenvalues, built.filters)
+        assert (basis.seq_len, basis.capacity) == (32, 8)
+        np.testing.assert_array_equal(basis.scaled_filters, built.scaled_filters)
+        np.testing.assert_array_equal(
+            basis.scaled_filters, scale_filters(built.eigenvalues, built.filters))
+
+    @pytest.mark.parametrize("eigenvalues, filters", [
+        (np.ones(3), np.ones((4, 16))),
+        (np.ones((4, 1)), np.ones((4, 16))),
+        (np.ones(4), np.ones(16)),
+    ])
+    def test_mismatched_arrays_rejected(self, eigenvalues, filters):
+        with pytest.raises(StructuralError):
+            SpectralBasis(eigenvalues, filters)
 
 
 class TestSerialization:
@@ -166,6 +229,20 @@ class TestSerialization:
         np.testing.assert_array_equal(loaded.filters, basis.filters)
         np.testing.assert_array_equal(loaded.scaled_filters, basis.scaled_filters)
         assert (loaded.seq_len, loaded.capacity) == (32, 8)
+
+    def test_loaded_arrays_own_their_memory(self, tmp_path):
+        # the file is mapped while it is read; no array may keep a view of it
+        path = tmp_path / "bank.essb"
+        save_basis(build_basis(32, 8), path)
+        loaded = load_basis(path)
+        for arr in (loaded.eigenvalues, loaded.filters, loaded.scaled_filters):
+            assert arr.flags.owndata and arr.flags.writeable
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "bank.essb"
+        path.write_bytes(b"")
+        with pytest.raises(ArtifactError, match="truncated"):
+            load_basis(path)
 
     def test_corrupted_checksum_rejected(self, tmp_path):
         basis = build_basis(16, 4)
@@ -249,13 +326,7 @@ class TestCache:
 class TestValidateBasis:
     def test_detects_broken_monotonicity(self):
         basis = build_basis(16, 4)
-        broken = SpectralBasis(
-            seq_len=16,
-            capacity=4,
-            eigenvalues=basis.eigenvalues[::-1].copy(),
-            filters=basis.filters[::-1].copy(),
-            scaled_filters=basis.scaled_filters[::-1].copy(),
-        )
+        broken = SpectralBasis(basis.eigenvalues[::-1].copy(), basis.filters[::-1].copy())
         from elastic_ssm.errors import NumericError
 
         with pytest.raises(NumericError):
@@ -263,13 +334,7 @@ class TestValidateBasis:
 
     def test_detects_bad_filter_norm(self):
         basis = build_basis(16, 4)
-        bad = SpectralBasis(
-            seq_len=16,
-            capacity=4,
-            eigenvalues=basis.eigenvalues.copy(),
-            filters=basis.filters * 1.5,
-            scaled_filters=basis.scaled_filters * 1.5,
-        )
+        bad = SpectralBasis(basis.eigenvalues.copy(), basis.filters * 1.5)
         from elastic_ssm.errors import NumericError
 
         with pytest.raises(NumericError):

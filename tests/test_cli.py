@@ -3,6 +3,7 @@
 import json
 import time
 
+import numpy as np
 import pytest
 
 from elastic_ssm.cli import main, parse_budget_list
@@ -83,6 +84,14 @@ class TestBasisCommand:
     def test_capacity_beyond_length_exits_two(self, cache_dir, capsys):
         assert main(["basis", "--seq-len", "32", "--capacity", "300"]) == 2
         assert "capacity" in capsys.readouterr().err
+
+    def test_failed_eigensolve_exits_four(self, cache_dir, monkeypatch, capsys):
+        def no_convergence(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        assert main(["basis", "--seq-len", "16", "--capacity", "2"]) == 4
+        assert "did not converge" in capsys.readouterr().err
 
     def test_unwritable_destination_exits_three(self, tmp_path, capsys):
         blocker = tmp_path / "not-a-dir"

@@ -1,82 +1,17 @@
-"""Kernels: symmetric eigendecomposition, causal convolution."""
+"""Kernels: causal convolution and the spectral branch."""
 
 import numpy as np
 import pytest
 
 from elastic_ssm.errors import StructuralError
 from elastic_ssm.linalg import (
+    _bank_spectra,
     fft_causal_conv_bank,
     fft_causal_conv_bank_adjoint,
     next_pow2,
-    symmetric_eig,
 )
 
-from _frozen_spectra import REFERENCE_SPECTRA
 from oracles import direct_causal_conv, scalar_causal_conv
-
-
-class TestSymmetricEig:
-    def test_identity_2x2(self):
-        w, v = symmetric_eig(np.eye(2))
-        np.testing.assert_allclose(w, [1.0, 1.0])
-        np.testing.assert_allclose(v @ v.T, np.eye(2), atol=1e-14)
-        # sign rule: the largest-magnitude entry of each column is positive
-        for col in v.T:
-            assert col[np.argmax(np.abs(col))] > 0
-
-    def test_diagonal_case(self):
-        w, v = symmetric_eig(np.diag([3.0, 1.0, 2.0]))
-        np.testing.assert_allclose(w, [3.0, 2.0, 1.0])
-        expected = np.zeros((3, 3))
-        expected[0, 0] = 1.0  # eigenvalue 3 -> axis 0
-        expected[2, 1] = 1.0  # eigenvalue 2 -> axis 2
-        expected[1, 2] = 1.0  # eigenvalue 1 -> axis 1
-        np.testing.assert_allclose(v, expected, atol=1e-14)
-
-    def test_moment_matrix_l8_matches_frozen_oracle(self):
-        from elastic_ssm.basis import hankel_matrix
-
-        w, _ = symmetric_eig(hankel_matrix(8))
-        ref = np.array(REFERENCE_SPECTRA[8]["eigenvalues"])
-        assert np.all(np.diff(w) < 0), "spectrum must be strictly decreasing"
-        np.testing.assert_allclose(w, ref, atol=1e-8 * ref[0])
-
-    def test_eigen_residual_and_orthonormality(self):
-        rng = np.random.default_rng(7)
-        for n in (3, 8, 17):
-            base = rng.normal(size=(n, n))
-            a = base @ base.T  # symmetric PSD
-            w, v = symmetric_eig(a)
-            residual = a @ v - v * w[None, :]
-            assert np.max(np.linalg.norm(residual, axis=0)) <= 1e-8 * max(w[0], 1e-300)
-            gram = v.T @ v
-            assert np.max(np.abs(gram - np.eye(n))) <= 1e-8
-
-    def test_sign_convention_random(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            base = rng.normal(size=(6, 6))
-            _, v = symmetric_eig(base + base.T)
-            for col in v.T:
-                idx = np.argmax(np.abs(col))
-                assert col[idx] > 0
-                # ties (if any) must resolve to the lowest index
-                ties = np.flatnonzero(np.abs(col) == np.abs(col[idx]))
-                assert ties[0] == idx
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(StructuralError):
-            symmetric_eig(np.ones((2, 3)))
-
-    def test_rejects_asymmetric(self):
-        a = np.array([[1.0, 2.0], [2.1, 1.0]])
-        with pytest.raises(StructuralError):
-            symmetric_eig(a)
-
-    def test_rejects_nonfinite(self):
-        a = np.array([[1.0, np.nan], [np.nan, 1.0]])
-        with pytest.raises(StructuralError):
-            symmetric_eig(a)
 
 
 class TestDirectCausalConv:
@@ -197,10 +132,13 @@ class TestFftCausalConv:
         weights = rng.normal(size=(2, 9, 3))
         y = rng.normal(size=(2, 9, 4))
         lhs = float(np.sum(fft_causal_conv_bank(filters, x, mixing, weights) * y))
-        dx, dmixing, dweights = fft_causal_conv_bank_adjoint(filters, x, mixing, y, weights)
+        dmixing = np.empty_like(mixing)
+        dx, dweights = fft_causal_conv_bank_adjoint(filters, x, mixing, y, weights,
+                                                    dmixing=dmixing)
         for operand, grad in ((x, dx), (mixing, dmixing), (weights, dweights)):
             np.testing.assert_allclose(lhs, float(np.sum(operand * grad)), rtol=1e-10)
-        dx_unit, _, none = fft_causal_conv_bank_adjoint(filters, x, mixing, y)
+        dx_unit, none = fft_causal_conv_bank_adjoint(filters, x, mixing, y,
+                                                     dmixing=np.empty_like(mixing))
         assert none is None
         np.testing.assert_allclose(
             float(np.sum(fft_causal_conv_bank(filters, x, mixing) * y)),
@@ -214,15 +152,26 @@ class TestFftCausalConv:
         mixing = rng.normal(size=(3, 4, 2))
         weights = rng.normal(size=(batch, 9, 3))
         y = rng.normal(size=(batch, 9, 4))
-        _, fresh, _ = fft_causal_conv_bank_adjoint(filters, x, mixing, y, weights)
         stack = np.full((5, 4, 2), 7.0)  # rows past the three channels stay as they are
-        _, given, _ = fft_causal_conv_bank_adjoint(filters, x, mixing, y, weights,
-                                                   dmixing=stack[:3])
-        assert np.shares_memory(given, stack)
-        assert np.array_equal(stack[:3], fresh)
+        fft_causal_conv_bank_adjoint(filters, x, mixing, y, weights, dmixing=stack[:3])
+        # dmixing[k] = sum_b grad[b]^T @ (weights[b, :, k] * (filters[k] ∗ x[b]))
+        z = np.stack([direct_causal_conv(filters[k], x[b]) * weights[b, :, k, None]
+                      for b in range(batch) for k in range(3)]).reshape(batch, 3, 9, 2)
+        np.testing.assert_allclose(stack[:3], np.einsum("ble,bkld->ked", y, z),
+                                   rtol=1e-10, atol=1e-12)
         assert np.all(stack[3:] == 7.0)
         with pytest.raises(StructuralError):
             fft_causal_conv_bank_adjoint(filters, x, mixing, y, dmixing=stack)
+
+    @pytest.mark.parametrize("dtype, spectrum", [(np.float32, np.complex64),
+                                                 (np.float64, np.complex128)])
+    def test_filter_spectra_take_the_signal_precision(self, dtype, spectrum):
+        # float64 filters against a float32 signal transform in complex64
+        rng = np.random.default_rng(12)
+        s = rng.normal(size=(2, 16, 3)).astype(dtype)
+        *_, f_hat, s_hat, _ = _bank_spectra(rng.normal(size=(4, 16)), s,
+                                            np.ones((4, 5, 3), dtype), None)
+        assert f_hat.dtype == s_hat.dtype == spectrum
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bank_output_is_a_fresh_array_of_the_signal_dtype(self, dtype):

@@ -243,7 +243,8 @@ class TestOneLayout:
         return {
             "conv_bank": lambda: fft_causal_conv_bank(filters, np.ones((16, 3)), mixing),
             "conv_adjoint": lambda: fft_causal_conv_bank_adjoint(
-                filters, np.ones((16, 3)), mixing, np.ones((16, 3))),
+                filters, np.ones((16, 3)), mixing, np.ones((16, 3)),
+                dmixing=np.empty_like(mixing)),
             "layer_forward": lambda: layer_forward(np.ones((16, 6)), lp, basis16, 2),
             "model_forward_tokens": lambda: model_forward(
                 np.zeros(16, dtype=int), init_model_params(tokens), tokens, basis16, 2),
@@ -310,7 +311,8 @@ class TestForwardModeFromConfig:
                     takes_mode.add(name)
                 hidden += [f"{name}({q.name})" for q in params
                            if q.name.startswith("_") or q.kind is q.VAR_KEYWORD]
-        assert takes_mode == {"layer_forward", "bibo_audit", "bibo_constant"}
+        # live_logits is the layer's rule for which gate logits a mode reads
+        assert takes_mode == {"layer_forward", "live_logits", "bibo_audit", "bibo_constant"}
         assert hidden == []
 
 

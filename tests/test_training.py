@@ -547,6 +547,15 @@ class TestOptimizerContainer:
         with pytest.raises(ArtifactError, match="checksum"):
             load_training_checkpoint(path)
 
+    def test_missing_or_empty_file_is_an_artifact_error(self, tmp_path):
+        # an empty file cannot be mapped: it reads as no bytes, a truncated file
+        path = tmp_path / "ck.essm"
+        with pytest.raises(ArtifactError, match="cannot read"):
+            load_training_checkpoint(path)
+        path.write_bytes(b"")
+        with pytest.raises(ArtifactError, match="truncated"):
+            load_training_checkpoint(path)
+
     def test_model_only_checkpoint_cannot_resume(self, tmp_path):
         config = tiny_config()
         params = init_model_params(config)
