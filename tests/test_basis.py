@@ -109,6 +109,15 @@ class TestBuildBasis:
             np.testing.assert_allclose(np.abs(basis.filters), np.abs(v[:, ::-1].T),
                                        atol=1e-14)
 
+    def test_l2_pairs_are_orthonormal_and_signed(self):
+        basis = build_basis(2, 2)
+        w, _ = np.linalg.eigh(hankel_matrix(2))
+        np.testing.assert_array_equal(basis.eigenvalues, w[::-1])
+        np.testing.assert_allclose(basis.filters @ basis.filters.T, np.eye(2), atol=1e-14)
+        # sign rule: the largest-magnitude entry of each filter is positive
+        for filt in basis.filters:
+            assert filt[np.argmax(np.abs(filt))] > 0
+
     def test_l8_full_spectrum_matches_frozen_oracle(self):
         basis = build_basis(8, 8)
         ref = np.array(REFERENCE_SPECTRA[8]["eigenvalues"])
