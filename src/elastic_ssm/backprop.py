@@ -73,7 +73,7 @@ def softmax_cross_entropy(logits, targets, mask=None):
 
     ``logits``: (..., V); ``targets``: integer (...,); ``mask``: optional
     boolean (...,) — False positions contribute nothing and receive zero
-    gradient.  Returns (loss, dlogits).
+    gradient.  Returns (loss, dlogits), the gradient in the logits' dtype.
     """
     logits = np.asarray(logits)
     targets = np.asarray(targets)
@@ -106,7 +106,7 @@ def softmax_cross_entropy(logits, targets, mask=None):
         if count == 0:
             raise StructuralError("loss mask excludes every position")
         loss = float(np.sum(nll * mask) / count)
-        dlogits = onehot_grad * (mask[..., None] / count)
+        dlogits = onehot_grad * (mask[..., None] / count).astype(logits.dtype, copy=False)
     else:
         count = nll.size
         loss = float(nll.mean())
@@ -118,7 +118,8 @@ def mean_squared_error(pred, target, mask=None):
     """Mean of squared residuals over (optionally masked) elements.
 
     ``mask`` is per position (pred shape without the channel axis); the
-    average runs over unmasked elements.  Returns (loss, dpred).
+    average runs over unmasked elements.  Returns (loss, dpred), the
+    gradient in the predictions' dtype.
     """
     pred = np.asarray(pred)
     target = np.asarray(target)
@@ -142,7 +143,8 @@ def mean_squared_error(pred, target, mask=None):
     else:
         loss = float(np.mean(resid * resid))
         dpred = resid * (2.0 / resid.size)
-    return loss, dpred
+    # float64 targets must not lift a float32 model's backward
+    return loss, dpred.astype(pred.dtype, copy=False)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ import numpy as np
 
 from .backprop import finite_diff_check, model_loss_fn
 from .basis import basis_cache_path, get_or_build_basis
-from .config import DEFAULT_BUDGET_SET, ModelConfig, RunConfig
+from .config import DEFAULT_BUDGET_SET, ModelConfig, RunConfig, check_budgets
 from .errors import ArtifactError, AuditError, ConfigError, EssmError, exit_code_for
 from .model import init_model_params, load_checkpoint
 from .sweep import (
@@ -48,26 +48,20 @@ logger = logging.getLogger("elastic_ssm")
 # ---------------------------------------------------------------------------
 
 
-def parse_budget_list(text: str) -> tuple[int, ...]:
-    """Parse '2,3,4' into a validated budget tuple."""
-    tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
-    if not tokens:
-        raise ConfigError(f"empty budget list {text!r}")
+def parse_budget_list(
+    text: str | None, capacity: int, default: tuple[int, ...] | None = None,
+) -> tuple[int, ...] | None:
+    """Parse '2,3,4' into a budget tuple checked by ``check_budgets``;
+    ``default`` when no list was given (``text`` is None)."""
+    if text is None:
+        return default
     try:
-        budgets = tuple(int(tok) for tok in tokens)
+        budgets = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise ConfigError(
             f"budgets must be comma-separated integers, got {text!r}"
         ) from None
-    for k in budgets:
-        if k == 1:
-            raise ConfigError(
-                "budget 1 is excluded: single-channel inference is not part "
-                "of the supported budget grid (budgets start at 2)"
-            )
-        if k < 2:
-            raise ConfigError(f"budgets must be >= 2, got {k}")
-    return budgets
+    return check_budgets(budgets, capacity)
 
 
 def load_run_config(path: str) -> RunConfig:
@@ -213,6 +207,7 @@ def _sweep_run_config(args) -> RunConfig:
 
 def cmd_sweep(args) -> int:
     params, model_cfg = load_checkpoint(args.checkpoint)
+    budgets = parse_budget_list(args.budgets, model_cfg.capacity, model_cfg.budget_set)
     run = _sweep_run_config(args)
     if run.model.to_dict() != model_cfg.to_dict():
         raise ArtifactError(
@@ -222,10 +217,6 @@ def cmd_sweep(args) -> int:
         )
     basis, _ = get_or_build_basis(
         model_cfg.seq_len, model_cfg.capacity, run.paths.cache_dir
-    )
-    budgets = (
-        parse_budget_list(args.budgets) if args.budgets is not None
-        else model_cfg.budget_set
     )
     dataset = build_dataset(run.task, model_cfg)
     report = budget_sweep(
@@ -273,12 +264,9 @@ def _model_config_from_flags(args, **overrides) -> ModelConfig:
 
 def cmd_gradcheck(args) -> int:
     config = _model_config_from_flags(args, depth=args.depth, seed=args.seed)
+    budgets = parse_budget_list(args.budgets, config.capacity, (2, config.capacity))
     basis, _ = get_or_build_basis(config.seq_len, config.capacity, args.cache_dir)
     params = init_model_params(config)
-    budgets = (
-        parse_budget_list(args.budgets) if args.budgets is not None
-        else (2, config.capacity)
-    )
     rng = np.random.default_rng(config.seed + 1)
     inputs = rng.normal(size=(2, config.seq_len, config.in_dim))
     targets = rng.normal(size=(2, config.seq_len, config.out_dim))
@@ -328,10 +316,8 @@ def cmd_audit(args) -> int:
         config = _model_config_from_flags(args, depth=args.depth, seed=args.seed)
         params = init_model_params(config)
         source = f"random initialization (seed {config.seed})"
+    budgets = parse_budget_list(args.budgets, config.capacity)
     basis, _ = get_or_build_basis(config.seq_len, config.capacity, args.cache_dir)
-    budgets = (
-        parse_budget_list(args.budgets) if args.budgets is not None else None
-    )
     report = model_bibo_audit(
         params, config, basis, n_trials=args.trials,
         input_bound=args.input_bound, budgets=budgets, seed=args.seed,
@@ -371,9 +357,7 @@ def cmd_ablate(args) -> int:
     base = load_run_config(args.config)
     if args.seed is not None:
         base = apply_seed_split(base, args.seed)
-    budgets = (
-        parse_budget_list(args.budgets) if args.budgets is not None else None
-    )
+    budgets = parse_budget_list(args.budgets, base.model.capacity)
     out_dir = Path(args.out) if args.out else Path(base.paths.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_resolved_config(out_dir, base)
@@ -390,15 +374,7 @@ def cmd_ablate(args) -> int:
             report.to_csv(), encoding="utf-8"
         )
     write_json(out_dir / "ablation.json", {
-        "variants": [
-            {
-                "name": v.name,
-                "gate_enabled": v.gate_enabled,
-                "budget_dropout": v.budget_dropout,
-                "truncation": v.truncation,
-            }
-            for v in DEFAULT_VARIANTS
-        ],
+        "variants": [dataclasses.asdict(v) for v in DEFAULT_VARIANTS],
         "table": table,
     })
     _print(f"reports: {out_dir / 'ablation.json'} (+ per-variant .csv)")
@@ -412,15 +388,7 @@ def cmd_ablate(args) -> int:
 
 def cmd_flops(args) -> int:
     config = _model_config_from_flags(args)
-    budgets = (
-        parse_budget_list(args.budgets) if args.budgets is not None
-        else config.budget_set
-    )
-    over = [k for k in budgets if k > config.capacity]
-    if over:
-        raise ConfigError(
-            f"budgets {over} exceed the capacity {config.capacity}"
-        )
+    budgets = parse_budget_list(args.budgets, config.capacity, config.budget_set)
     base = flop_estimate(config, 0, batch=args.batch)
     counts = {k: flop_estimate(config, k, batch=args.batch) for k in budgets}
     slope = (

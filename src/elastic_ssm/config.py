@@ -7,11 +7,12 @@ typo in a run file fails loudly before any compute happens.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any
 
-from .errors import ConfigError
+from .errors import BudgetError, ConfigError
 
 __all__ = [
     "ModelConfig",
@@ -20,6 +21,7 @@ __all__ = [
     "RunConfig",
     "RUN_CONFIG_VERSION",
     "DEFAULT_BUDGET_SET",
+    "check_budgets",
 ]
 
 RUN_CONFIG_VERSION = 1
@@ -35,6 +37,27 @@ PRECISIONS = ("float64", "float32")
 LOSS_KINDS = ("cross-entropy", "mse")
 SAMPLER_MODES = ("uniform-over-budget-set", "uniform-over-range")
 TASK_KINDS = ("lds-regression", "copy", "byte-lm")
+
+
+def check_budgets(budgets, capacity: int) -> tuple[int, ...]:
+    """The budget rule: a nonempty list of integers K with 2 <= K <= capacity.
+
+    Returns the budgets as a tuple of ints; raises BudgetError otherwise.
+    """
+    try:
+        ks = tuple(map(operator.index, budgets))
+    except TypeError:
+        raise BudgetError(f"budgets must be a list of integers, got {budgets!r}") from None
+    if not ks:
+        raise BudgetError("the budget list is empty")
+    bad = [k for k in ks if not 2 <= k <= capacity]
+    if bad:
+        raise BudgetError(
+            f"budgets {bad} outside [2, capacity={capacity}]"
+            + ("; budget 1 is excluded: single-channel inference is not part "
+               "of the supported budget grid" if 1 in bad else "")
+        )
+    return ks
 
 
 def _from_dict(cls, data: dict, where: str):
@@ -88,8 +111,6 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # a tuple keeps the config hashable (model.param_schema caches on it)
-        object.__setattr__(self, "budget_set", tuple(self.budget_set))
         _require(self.width >= 1, f"width must be >= 1, got {self.width}")
         _require(self.gate_hidden >= 1, f"gate_hidden must be >= 1, got {self.gate_hidden}")
         _require(self.depth >= 0, f"depth must be >= 0, got {self.depth}")
@@ -99,17 +120,12 @@ class ModelConfig:
             f"capacity must satisfy 2 <= capacity <= seq_len, got "
             f"capacity={self.capacity}, seq_len={self.seq_len}",
         )
-        _require(len(self.budget_set) > 0, "budget_set must not be empty")
+        # a tuple keeps the config hashable (model.param_schema caches on it)
+        object.__setattr__(self, "budget_set", check_budgets(self.budget_set, self.capacity))
         _require(
-            tuple(sorted(set(self.budget_set))) == tuple(self.budget_set),
+            tuple(sorted(set(self.budget_set))) == self.budget_set,
             f"budget_set must be strictly increasing, got {self.budget_set}",
         )
-        for k in self.budget_set:
-            _require(
-                2 <= k <= self.capacity,
-                f"budget {k} outside [2, capacity={self.capacity}] "
-                "(budgets of 1 are excluded)",
-            )
         _require(self.norm_kind in NORM_KINDS, f"norm_kind must be one of {NORM_KINDS}")
         _require(self.input_kind in INPUT_KINDS, f"input_kind must be one of {INPUT_KINDS}")
         _require(self.head in HEAD_KINDS, f"head must be one of {HEAD_KINDS}")

@@ -7,6 +7,7 @@ driver, so library failures surface with a stable, scriptable meaning:
 exception             exit code   meaning
 ====================  ==========  =========================================
 ConfigError           2           bad config file, flag, or argument value
+                                  (BudgetError, an illegal budget, is one)
 ArtifactError         3           file format / header / checksum mismatch
 NumericError          4           numerical failure (divergence, NaN flood)
 AuditError            5           assertion or audit failure (bound violated,
@@ -41,9 +42,9 @@ class StructuralError(EssmError, ValueError):
     """Array arguments have the wrong shape, dtype, or symmetry."""
 
 
-class BudgetError(EssmError, ValueError):
-    """Budget outside the legal range (budgets of 1 are rejected at the
-    public API; valid budgets satisfy 2 <= K <= capacity)."""
+class BudgetError(ConfigError):
+    """Budget outside the legal range 2 <= K <= capacity (budgets of 1 are
+    rejected); raised by ``config.check_budgets``."""
 
 
 class ArtifactError(EssmError, IOError):
@@ -69,7 +70,6 @@ class AuditError(EssmError, AssertionError):
 EXIT_CODES = {
     ConfigError: 2,
     StructuralError: 2,
-    BudgetError: 2,
     ArtifactError: 3,
     ConvergenceError: 4,
     NumericError: 4,

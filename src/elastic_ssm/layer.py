@@ -11,8 +11,7 @@ RMS rescale of the first K logits (sqrt(K) / (norm + eps)), then a masked
 softmax that assigns exactly zero to channels beyond the budget.
 
 Inputs and outputs are batches ``(B, L, d)``; pass one sequence ``u`` as
-``u[None]``.  Budgets of 1 are rejected: the supported budget grid starts
-at 2.
+``u[None]``.  The budget must pass ``config.check_budgets``.
 """
 
 from __future__ import annotations
@@ -25,7 +24,8 @@ import numpy as np
 from scipy.special import erf
 
 from .basis import SpectralBasis
-from .errors import BudgetError, StructuralError
+from .config import check_budgets
+from .errors import StructuralError
 from .linalg import fft_causal_conv_bank
 
 __all__ = [
@@ -183,8 +183,6 @@ def masked_softmax(scaled, budget: int, capacity: int) -> np.ndarray:
             f"masked_softmax expects {budget} active logits, got "
             f"{scaled.shape[-1]}"
         )
-    if budget > capacity:
-        raise StructuralError(f"budget {budget} exceeds capacity {capacity}")
     peak = np.max(scaled, axis=-1, keepdims=True)
     exp = np.exp(scaled - peak)
     active = exp / np.sum(exp, axis=-1, keepdims=True)
@@ -242,20 +240,6 @@ class LayerCache:
     basis: SpectralBasis = field(repr=False)
 
 
-def _check_budget(budget: int, capacity: int) -> None:
-    if not isinstance(budget, (int, np.integer)):
-        raise BudgetError(f"budget must be an integer, got {budget!r}")
-    if budget < 2 or budget > capacity:
-        if budget == 1:
-            raise BudgetError(
-                "budget 1 is excluded from the public API (single-channel "
-                "inference is not part of the supported budget grid)"
-            )
-        raise BudgetError(
-            f"budget {budget} outside [2, capacity={capacity}]"
-        )
-
-
 def layer_forward(
     u,
     p: LayerParams,
@@ -287,7 +271,7 @@ def layer_forward(
         raise StructuralError(f"params width {p.width}, input width {width}")
     if truncation not in ("masked", "direct"):
         raise StructuralError(f"unknown truncation mode {truncation!r}")
-    _check_budget(budget, p.capacity)
+    (budget,) = check_budgets((budget,), p.capacity)
 
     pre = gelu_erf = logits = weights_full = None
     if gate_enabled:

@@ -326,6 +326,8 @@ def model_forward(
                 f"real input must be (B, L, {config.in_dim}) with "
                 f"L={config.seq_len}, got {inputs.shape}"
             )
+        # float64 data must not lift a float32 model's forward and backward
+        inputs = inputs.astype(config.precision, copy=False)
         x = inputs @ params.embed_w.T + params.embed_b
 
     norm_caches: list[dict] = []

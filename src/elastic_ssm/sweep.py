@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .basis import SpectralBasis
-from .config import ModelConfig, RunConfig
+from .config import ModelConfig, RunConfig, check_budgets
 from .errors import ConfigError, StructuralError
 from .layer import LayerParams, layer_flop_count, layer_forward
 from .model import ModelParams, params_fingerprint
@@ -134,7 +134,8 @@ def budget_sweep(
 ) -> SweepReport:
     """Evaluate one checkpoint at every budget; derive the retention curve.
 
-    Budgets must include full capacity (retention is relative to it).  The
+    Budgets must pass ``check_budgets`` and include full capacity (retention
+    is relative to it); both are checked before any evaluation.  The
     checkpoint is read-only: a parameter fingerprint is checked before and
     after the sweep.  The model runs in its config's gate and truncation
     mode; sweep another mode with a replaced config, e.g.
@@ -142,7 +143,7 @@ def budget_sweep(
     """
     if budgets is None:
         budgets = config.budget_set
-    budgets = tuple(sorted(int(k) for k in budgets))
+    budgets = tuple(sorted(check_budgets(budgets, config.capacity)))
     if len(set(budgets)) != len(budgets):
         raise ConfigError(f"duplicate budgets in {budgets}")
     if config.capacity not in budgets:
@@ -226,11 +227,11 @@ def bibo_audit(
     mode at every budget, and asserts ||y(t)||_2 <= constant * input_bound
     at every step, with the constant of :func:`bibo_constant` for that gate
     mode.  A violation is reported with its witness (trial, budget, t,
-    ratio).
+    ratio).  The budgets pass ``check_budgets`` before any trial runs.
     """
     if budgets is None:
-        budgets = range(2, basis.capacity + 1)
-    budgets = tuple(int(k) for k in budgets)
+        budgets = range(2, p.capacity + 1)
+    budgets = check_budgets(budgets, p.capacity)
     terms = bibo_constant(p, basis, gate_enabled)
     bound = terms["constant"] * input_bound
     rng = np.random.default_rng(seed)
@@ -317,9 +318,6 @@ def flop_estimate(config: ModelConfig, budget: int, batch: int = 1) -> int:
 # ablation variants
 # ---------------------------------------------------------------------------
 
-_TRUNCATION_NAMES = {"masked-softmax": "masked", "direct-prefix": "direct"}
-
-
 @dataclass(frozen=True)
 class VariantSpec:
     """One row of the ablation grid: which mechanisms are switched on."""
@@ -327,29 +325,16 @@ class VariantSpec:
     name: str
     gate_enabled: bool
     budget_dropout: bool
-    truncation: str  # "masked-softmax" | "direct-prefix"
-
-    def __post_init__(self):
-        if self.truncation not in _TRUNCATION_NAMES:
-            raise ConfigError(
-                f"truncation must be one of {sorted(_TRUNCATION_NAMES)}, "
-                f"got {self.truncation!r}"
-            )
-
-    @property
-    def truncation_mode(self) -> str:
-        return _TRUNCATION_NAMES[self.truncation]
+    truncation_mode: str  # a ModelConfig.truncation_mode: "masked" | "direct"
 
 
 DEFAULT_VARIANTS = (
-    VariantSpec("es-ssm", gate_enabled=True, budget_dropout=True,
-                truncation="masked-softmax"),
+    VariantSpec("es-ssm", gate_enabled=True, budget_dropout=True, truncation_mode="masked"),
     VariantSpec("base-spectral", gate_enabled=False, budget_dropout=False,
-                truncation="direct-prefix"),
-    VariantSpec("gate-only", gate_enabled=True, budget_dropout=False,
-                truncation="masked-softmax"),
+                truncation_mode="direct"),
+    VariantSpec("gate-only", gate_enabled=True, budget_dropout=False, truncation_mode="masked"),
     VariantSpec("dropout-only", gate_enabled=False, budget_dropout=True,
-                truncation="direct-prefix"),
+                truncation_mode="direct"),
 )
 
 
@@ -375,12 +360,11 @@ def run_ablation(
     All variants share the data, seeds, and optimization recipe; they
     differ only in the gate flag, the budget-dropout flag, and the
     truncation mode (:func:`variant_run`).  A gated budget-dropout
-    variant's checkpoint is additionally swept under direct-prefix
-    truncation (no extra training) to isolate the masked softmax's
-    renormalization.
+    variant's checkpoint is additionally swept under direct truncation (no
+    extra training), as the row ``<name>@direct``, to isolate the masked
+    softmax's renormalization.
     """
-    rows = []
-    reeval_rows = []
+    rows, reevaluations = [], []
     shared_dataset = None
     for variant in variants:
         run = variant_run(base, variant)
@@ -388,41 +372,24 @@ def run_ablation(
         if out_dir is not None:
             ck = os.path.join(os.fspath(out_dir), f"{variant.name}.essm")
         result = run_training(run, dataset=shared_dataset, checkpoint_path=ck)
-        if shared_dataset is None:
-            shared_dataset = result["dataset"]
-        report = budget_sweep(
-            result["params"], run.model, result["basis"], shared_dataset,
-            budgets=budgets,
-        )
-        rows.append({
-            "name": variant.name,
-            "variant": variant,
-            "run": run,
-            "params": result["params"],
-            "basis": result["basis"],
-            "report": report,
-            "final_eval": result["final_eval"],
-        })
-        if (
-            variant.gate_enabled
-            and variant.budget_dropout
-            and variant.truncation == "masked-softmax"
-        ):
-            direct_report = budget_sweep(
-                result["params"], replace(run.model, truncation_mode="direct"),
-                result["basis"], shared_dataset, budgets=budgets,
-            )
-            reeval_rows.append({
-                "name": f"{variant.name}@direct-prefix",
+        shared_dataset = result["dataset"]
+        sweeps = [(variant.name, run.model, rows)]
+        if variant.gate_enabled and variant.budget_dropout and variant.truncation_mode == "masked":
+            direct = replace(run.model, truncation_mode="direct")
+            sweeps.append((f"{variant.name}@direct", direct, reevaluations))
+        for name, model, into in sweeps:
+            into.append({
+                "name": name,
                 "variant": variant,
                 "run": run,
                 "params": result["params"],
                 "basis": result["basis"],
-                "report": direct_report,
+                "report": budget_sweep(result["params"], model, result["basis"],
+                                       shared_dataset, budgets=budgets),
                 "final_eval": result["final_eval"],
-                "reevaluation": True,
+                "reevaluation": into is reevaluations,
             })
-    rows.extend(reeval_rows)
+    rows += reevaluations
     return {
         "rows": rows,
         "dataset": shared_dataset,

@@ -354,15 +354,16 @@ def build_dataset(task: TaskSpec, model: ModelConfig) -> Dataset:
 
 
 def forward_bytes_per_sequence(config: ModelConfig) -> int:
-    """Bytes ``model_forward`` holds per sequence at its peak, at 8 a value:
-    every layer's norm and layer caches (input, scale, gate activations and
-    weights), plus one layer's working set (spectra, accumulators, output)."""
+    """Bytes ``model_forward`` holds per sequence at its peak, at the
+    precision's bytes a value: every layer's norm and layer caches (input,
+    scale, gate activations and weights), plus one layer's working set
+    (spectra, accumulators, output)."""
     length, width = config.seq_len, config.width
     gate = 2 * (config.gate_hidden + config.capacity) if config.gate_enabled else config.capacity
     kept = length * (2 * width + 1 + gate)
     n = next_pow2(2 * length - 1)  # two complex (d, n/2 + 1) spectra, one real (d, n)
     working = width * (3 * n + 4) + length * 4 * width
-    return 8 * (config.depth * kept + working)
+    return np.dtype(config.precision).itemsize * (config.depth * kept + working)
 
 
 def evaluate_model(

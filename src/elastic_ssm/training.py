@@ -25,7 +25,7 @@ import numpy as np
 
 from .backprop import model_loss_fn
 from .basis import SpectralBasis, get_or_build_basis
-from .config import ModelConfig, RunConfig, TrainConfig
+from .config import ModelConfig, RunConfig, TrainConfig, check_budgets
 from .errors import ArtifactError, ConfigError, NumericError, StructuralError
 from .model import (
     ModelParams,
@@ -81,29 +81,20 @@ class BudgetSampler:
     """Uniform budget draws, deterministic in (seed, step index).
 
     ``mode`` is "uniform-over-budget-set" (the deployment grid) or
-    "uniform-over-range" (all integers 2..capacity).  Budgets of 1 are
-    outside both supports, and a budget set that holds one is rejected: a
-    single-channel model cannot normalize its gate meaningfully, and the
-    deployment grid starts at 2.
+    "uniform-over-range" (all integers 2..capacity).  The support passes
+    ``config.check_budgets``, so a budget set that holds 1 is rejected: a
+    single-channel model cannot normalize its gate meaningfully.
     """
 
     def __init__(self, mode: str, budget_set: tuple[int, ...], capacity: int, seed: int):
         if mode == "uniform-over-budget-set":
-            support = tuple(int(k) for k in budget_set)
+            support = budget_set
         elif mode == "uniform-over-range":
-            support = tuple(range(2, capacity + 1))
+            support = range(2, capacity + 1)
         else:
             raise ConfigError(f"unknown sampler mode {mode!r}")
-        if not support:
-            raise ConfigError(
-                f"budget sampler support is empty (mode={mode!r}, "
-                f"budget_set={budget_set}, capacity={capacity})"
-            )
-        bad = [k for k in support if not 2 <= k <= capacity]
-        if bad:
-            raise ConfigError(f"budgets {bad} outside [2, capacity={capacity}]")
         self.mode = mode
-        self.support = support
+        self.support = check_budgets(support, capacity)
         self.capacity = capacity
         self.seed = int(seed)
 
@@ -404,10 +395,11 @@ def run_training(
     eval cadence — {"step", "loss", "budget_histogram", "grad_norm", "lr",
     "eval"} — and a combined model+optimizer checkpoint.  ``resume`` picks
     up from such a checkpoint and reproduces the uninterrupted trajectory
-    bit for bit.  ``stop_after`` pauses the run once that many total steps
-    are complete (checkpointing first), for interruptible jobs.  Aborts
-    with NumericError if more than ``train.max_skip_frac`` of all steps
-    were skipped for non-finite losses/gradients.
+    bit for bit, appending to the log; a fresh run starts the log empty.
+    ``stop_after`` pauses the run once that many total steps are complete
+    (checkpointing first), for interruptible jobs.  Aborts with
+    NumericError if more than ``train.max_skip_frac`` of all steps were
+    skipped for non-finite losses/gradients.
     """
     model_cfg, train_cfg = run.model, run.train
     basis, _ = get_or_build_basis(
@@ -466,6 +458,8 @@ def run_training(
                 "steps already completed"
             )
         end_step = min(end_step, stop_after)
+    if log.path is not None and resume is None:
+        open(log.path, "w", encoding="utf-8").close()
 
     def record(step: int, loss: Optional[float], evaluation: Optional[dict]) -> dict:
         """The log record after ``step``, as one cadence or the abort writes it."""

@@ -6,6 +6,8 @@ import time
 import numpy as np
 import pytest
 
+import elastic_ssm.cli as cli_module
+import elastic_ssm.sweep as sweep_module
 from elastic_ssm.cli import main, parse_budget_list
 from elastic_ssm.errors import ConfigError
 
@@ -52,24 +54,32 @@ def write_config(tmp_path, name="run.json", **kw):
 
 class TestParseBudgetList:
     def test_basic(self):
-        assert parse_budget_list("2,3,4") == (2, 3, 4)
-        assert parse_budget_list(" 2, 8 ,32 ") == (2, 8, 32)
+        assert parse_budget_list("2,3,4", 4) == (2, 3, 4)
+        assert parse_budget_list(" 2, 8 ,32 ", 32) == (2, 8, 32)
+
+    def test_default_when_no_list_given(self):
+        assert parse_budget_list(None, 8) is None
+        assert parse_budget_list(None, 8, (2, 8)) == (2, 8)
 
     def test_budget_one_rejected_citing_exclusion(self):
         with pytest.raises(ConfigError, match="excluded"):
-            parse_budget_list("1,2,4")
+            parse_budget_list("1,2,4", 4)
 
     def test_garbage_rejected(self):
         with pytest.raises(ConfigError, match="integers"):
-            parse_budget_list("2,three,4")
+            parse_budget_list("2,three,4", 4)
 
     def test_empty_rejected(self):
         with pytest.raises(ConfigError, match="empty"):
-            parse_budget_list(" , ")
+            parse_budget_list(" , ", 4)
 
     def test_below_two_rejected(self):
-        with pytest.raises(ConfigError, match=">= 2"):
-            parse_budget_list("0,4")
+        with pytest.raises(ConfigError, match=r"budgets \[0\] outside \[2, capacity=4\]"):
+            parse_budget_list("0,4", 4)
+
+    def test_above_capacity_rejected(self):
+        with pytest.raises(ConfigError, match=r"budgets \[9\] outside \[2, capacity=8\]"):
+            parse_budget_list("2,8,9", 8)
 
 
 class TestBasisCommand:
@@ -222,6 +232,17 @@ class TestSweepCommand:
         assert code == 2
         assert "excluded" in capsys.readouterr().err
 
+    def test_budget_above_capacity_exits_two_before_any_evaluation(
+            self, trained, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(sweep_module, "evaluate_model",
+                            lambda *a, **kw: calls.append(kw.get("budget")))
+        code = main(["sweep", "--checkpoint", str(trained),
+                     "--budgets", "2,4,5"])
+        assert code == 2
+        assert "budgets [5] outside [2, capacity=4]" in capsys.readouterr().err
+        assert calls == []
+
     def test_budgets_without_capacity_exit_two(self, trained, capsys):
         code = main(["sweep", "--checkpoint", str(trained),
                      "--budgets", "2,3"])
@@ -291,6 +312,15 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--budgets", "3,4"]) == 0
         assert "K=3" in capsys.readouterr().out
 
+    def test_budget_above_capacity_exits_two_before_any_check(
+            self, cache_dir, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli_module, "finite_diff_check",
+                            lambda *a, **kw: calls.append(a))
+        assert main(["gradcheck", "--budgets", "2,7"]) == 2
+        assert "budgets [7] outside [2, capacity=6]" in capsys.readouterr().err
+        assert calls == []
+
     def test_unattainable_tolerance_exits_five(self, cache_dir, capsys):
         code = main(["gradcheck", "--step", "0.05", "--tolerance", "1e-12"])
         assert code == 5
@@ -323,9 +353,12 @@ class TestAblateCommand:
         doc = json.loads((out_dir / "ablation.json").read_text())
         assert set(doc["table"]) == {
             "es-ssm", "base-spectral", "gate-only", "dropout-only",
-            "es-ssm@direct-prefix",
+            "es-ssm@direct",
         }
         assert len(doc["variants"]) == 4  # trained variants; fifth is a re-read
+        assert doc["variants"][0] == {"name": "es-ssm", "gate_enabled": True,
+                                      "budget_dropout": True,
+                                      "truncation_mode": "masked"}
         for name in ("es-ssm", "base-spectral", "gate-only", "dropout-only"):
             assert (out_dir / f"{name}.essm").exists()
             assert (out_dir / f"{name}.csv").exists()

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from elastic_ssm.config import (
@@ -11,9 +12,41 @@ from elastic_ssm.config import (
     RunConfig,
     TaskSpec,
     TrainConfig,
+    check_budgets,
 )
-from elastic_ssm.errors import ConfigError
+from elastic_ssm.errors import BudgetError, ConfigError
 from elastic_ssm.storage import canonical_json
+
+
+class TestCheckBudgets:
+    def test_legal_budgets_returned_as_ints(self):
+        assert check_budgets([2, 5, 8], 8) == (2, 5, 8)
+        got = check_budgets(np.array([2, 8]), 8)
+        assert got == (2, 8) and all(type(k) is int for k in got)
+        assert check_budgets((np.int32(3),), 4) == (3,)
+
+    def test_empty_list_rejected(self):
+        with pytest.raises(BudgetError, match="empty"):
+            check_budgets((), 8)
+
+    def test_budget_one_has_its_own_sentence(self):
+        with pytest.raises(BudgetError, match=r"budgets \[1\] outside \[2, capacity=8\]; "
+                                              "budget 1 is excluded"):
+            check_budgets((1, 2), 8)
+
+    def test_out_of_range_rejected(self):
+        for bad in ((2, 9), (0, 4), (-2,)):
+            with pytest.raises(BudgetError, match="outside") as info:
+                check_budgets(bad, 8)
+            assert "excluded" not in str(info.value)
+
+    def test_non_integers_rejected(self):
+        for bad in ((2.0, 4), ("2",), (2, None)):
+            with pytest.raises(BudgetError, match="integers"):
+                check_budgets(bad, 8)
+
+    def test_budget_error_is_a_config_error(self):
+        assert issubclass(BudgetError, ConfigError)
 
 
 class TestModelConfig:

@@ -6,9 +6,10 @@ import math
 import numpy as np
 import pytest
 
+import elastic_ssm.sweep as sweep_module
 from elastic_ssm.basis import build_basis
 from elastic_ssm.config import ModelConfig, RunConfig, TaskSpec, TrainConfig
-from elastic_ssm.errors import ConfigError
+from elastic_ssm.errors import BudgetError, ConfigError
 from elastic_ssm.layer import layer_flop_count, layer_forward
 from elastic_ssm.model import init_model_params, params_fingerprint
 from elastic_ssm.sweep import (
@@ -140,6 +141,16 @@ class TestBudgetSweep:
         params = init_model_params(cfg)
         with pytest.raises(ConfigError, match="retention"):
             budget_sweep(params, cfg, basis, dataset, budgets=(2, 3))
+
+    def test_illegal_budget_rejected_before_evaluating(self, copy_setup, monkeypatch):
+        cfg, basis, dataset = copy_setup
+        calls = []
+        monkeypatch.setattr(sweep_module, "evaluate_model",
+                            lambda *a, **kw: calls.append(kw.get("budget")))
+        for bad in ((2, 4, 5), (1, 2, 4), ()):
+            with pytest.raises(BudgetError):
+                budget_sweep(init_model_params(cfg), cfg, basis, dataset, budgets=bad)
+        assert calls == []
 
     def test_duplicate_budgets_rejected(self, copy_setup):
         cfg, basis, dataset = copy_setup
@@ -284,6 +295,18 @@ class TestBiboAudit:
         assert np.linalg.norm(out[0, 3]) == pytest.approx(s[0], rel=1e-9)
         report = bibo_audit(p, basis, n_trials=10, seed=4)
         assert report["passed"]
+
+    def test_illegal_or_empty_budgets_rejected_before_any_forward(self, monkeypatch):
+        cfg = small_config()
+        basis = build_basis(cfg.seq_len, cfg.capacity)
+        p = init_model_params(cfg).blocks[0].layer
+        calls = []
+        monkeypatch.setattr(sweep_module, "layer_forward",
+                            lambda *a, **kw: calls.append(a[3]))
+        for bad in ((2, 5), (1, 2), ()):
+            with pytest.raises(BudgetError):
+                bibo_audit(p, basis, n_trials=3, budgets=bad)
+        assert calls == []
 
     def test_random_params_hundred_trials_no_violations(self):
         cfg = small_config(seq_len=32, capacity=8, budget_set=(2, 4, 8))
@@ -456,18 +479,19 @@ def tiny_ablation():
 
 class TestAblation:
     def test_default_grid_mechanism_toggles(self):
-        table = {v.name: (v.gate_enabled, v.budget_dropout, v.truncation)
+        table = {v.name: (v.gate_enabled, v.budget_dropout, v.truncation_mode)
                  for v in DEFAULT_VARIANTS}
         assert table == {
-            "es-ssm": (True, True, "masked-softmax"),
-            "base-spectral": (False, False, "direct-prefix"),
-            "gate-only": (True, False, "masked-softmax"),
-            "dropout-only": (False, True, "direct-prefix"),
+            "es-ssm": (True, True, "masked"),
+            "base-spectral": (False, False, "direct"),
+            "gate-only": (True, False, "masked"),
+            "dropout-only": (False, True, "direct"),
         }
 
     def test_unknown_truncation_rejected(self):
+        base = RunConfig(model=small_config(), task=copy_task())
         with pytest.raises(ConfigError, match="truncation"):
-            VariantSpec("bad", True, True, "soft-prefix")
+            variant_run(base, VariantSpec("bad", True, True, "soft-prefix"))
 
     def test_variant_run_applies_only_the_toggles(self):
         base = RunConfig(model=small_config(), task=copy_task())
@@ -498,7 +522,7 @@ class TestAblation:
         _, out = tiny_ablation
         names = [row["name"] for row in out["rows"]]
         assert names == ["es-ssm", "base-spectral", "gate-only",
-                         "dropout-only", "es-ssm@direct-prefix"]
+                         "dropout-only", "es-ssm@direct"]
         assert out["rows"][-1]["reevaluation"] is True
         assert set(out["table"]) == set(names)
 

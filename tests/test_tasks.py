@@ -434,7 +434,8 @@ class TestEvaluateModel:
             assert pieces["loss"] == pytest.approx(whole["loss"], rel=1e-12)
             assert pieces["accuracy"] == whole["accuracy"]
 
-    @pytest.mark.parametrize("overrides", [{}, {"gate_enabled": False}])
+    @pytest.mark.parametrize("overrides", [{}, {"gate_enabled": False},
+                                           {"precision": "float32"}])
     def test_batch_rule_tracks_the_traced_forward_peak(self, overrides):
         # desk geometry, depth 2: at the smallest and the largest budget, what
         # model_forward holds per sequence is within 20% of the rule
@@ -443,7 +444,7 @@ class TestEvaluateModel:
                              budget_set=(2, 32), **overrides)
         basis = build_basis(256, 32)
         params = init_model_params(config)
-        inputs = np.random.default_rng(0).normal(size=(2, 256, 1))
+        inputs = np.random.default_rng(0).normal(size=(2, 256, 1)).astype(config.precision)
         rule = tasks.forward_bytes_per_sequence(config)
         for budget in (2, 32):
             tracemalloc.start()

@@ -7,7 +7,9 @@ import shutil
 import numpy as np
 import pytest
 
+import elastic_ssm.backprop as backprop_module
 import elastic_ssm.training as training_module
+from elastic_ssm.backprop import layer_backward
 from elastic_ssm.basis import build_basis
 from elastic_ssm.config import ModelConfig, Paths, RunConfig, TaskSpec, TrainConfig
 from elastic_ssm.errors import ArtifactError, ConfigError, NumericError, StructuralError
@@ -20,7 +22,13 @@ from elastic_ssm.model import (
     params_fingerprint,
     save_checkpoint,
 )
-from elastic_ssm.tasks import Dataset, evaluate_model, gen_copy_task
+from elastic_ssm.tasks import (
+    Dataset,
+    build_dataset,
+    evaluate_model,
+    gen_copy_task,
+    required_model_fields,
+)
 from elastic_ssm.training import (
     BudgetSampler,
     adamw_step,
@@ -382,6 +390,33 @@ def copy_setup(seed=0, capacity=4, seq_len=16, budget_set=(2, 4)):
 
 
 class TestTrainStep:
+    @pytest.mark.parametrize("kind", ["copy", "lds-regression"])
+    def test_float32_step_stays_float32(self, kind, monkeypatch):
+        # float64 task data (LDS inputs and targets, the copy task's loss
+        # mask) must not lift a float32 model's forward or backward
+        task = TaskSpec(kind=kind, n_symbols=5, delay=1, state_dim=2,
+                        data_dim=2, n_samples=16)
+        config = ModelConfig(seq_len=16, width=8, gate_hidden=8, capacity=4,
+                             depth=2, budget_set=(2, 4), precision="float32",
+                             **required_model_fields(task))
+        dataset = build_dataset(task, config)
+        seen = []
+
+        def spy(dout, cache, out=None):
+            seen.append((dout.dtype, cache.u.dtype))
+            return layer_backward(dout, cache, out=out)
+
+        monkeypatch.setattr(backprop_module, "layer_backward", spy)
+        params = init_model_params(config)
+        sampler = BudgetSampler("uniform-over-budget-set", (3,), 4, seed=0)
+        mask = None if dataset.mask is None else dataset.mask[:4]
+        metrics = train_step(params, init_optimizer_state(config),
+                             dataset.inputs[:4], dataset.targets[:4], mask,
+                             config, TrainConfig(), build_basis(16, 4), sampler, 0)
+        assert metrics["budget"] == 3
+        assert seen == [(np.float32, np.float32)] * 2
+        assert all(arr.dtype == np.float32 for _, arr in flatten_params(params, config))
+
     def test_fixed_sampler_equals_full_capacity_step(self):
         config, dataset, basis = copy_setup()
         train_a = TrainConfig(budget_dropout=True, weight_decay=0.01, seed=5)
@@ -680,6 +715,21 @@ class TestRunTraining:
         assert on_disk == result["log"]
         total = sum(result["log"][-1]["budget_histogram"].values())
         assert total == 40  # histogram covers every applied step
+
+    def test_fresh_run_starts_its_own_log_and_resume_appends(self, tmp_path):
+        log_path, ck = tmp_path / "train.jsonl", tmp_path / "ck.essm"
+        run = copy_run(steps=40)
+
+        def logged_steps():
+            return [json.loads(line)["step"] for line in log_path.read_text().splitlines()]
+
+        run_training(run, log_path=log_path)
+        run_training(run, log_path=log_path)
+        assert logged_steps() == [20, 40]
+        run_training(run, log_path=log_path, checkpoint_path=ck, stop_after=20)
+        assert logged_steps() == [20]
+        run_training(run, log_path=log_path, resume=ck)
+        assert logged_steps() == [20, 40]
 
     def test_budget_dropout_off_uses_capacity_only(self):
         run = copy_run(steps=20, budget_dropout=False)
