@@ -22,7 +22,6 @@ import ctypes
 import os
 
 import numpy as np
-import scipy.fft
 
 from .errors import StructuralError
 
@@ -61,7 +60,9 @@ def next_pow2(n: int) -> int:
 
 
 def _bank_spectra(filters, signal, mixing, weights):
-    """Checked signal and mixing, weights as (B, K, L), both spectra, padded length."""
+    """Checked signal and mixing, weights as (B, K, L), the filter and signal
+    spectra, and the signal copied once, time last, into a zero-tailed
+    ``(B, d, n)`` buffer, n the padded length; the caller may reuse it."""
     f = _as_float_array(filters, "filters")
     s = _as_float_array(signal, "signal")
     if f.ndim != 2 or len(f) == 0 or s.ndim != 3 or f.shape[1] != s.shape[1]:
@@ -69,21 +70,28 @@ def _bank_spectra(filters, signal, mixing, weights):
             f"need a (K, L) filter bank with K >= 1 and a (B, L, d) signal, "
             f"got {f.shape} and {s.shape}"
         )
-    n = next_pow2(2 * s.shape[1] - 1)
-    f_hat = scipy.fft.rfft(f.astype(s.dtype, copy=False), n=n, axis=-1)
-    s_hat = scipy.fft.rfft(np.swapaxes(s, 1, 2), n=n, axis=-1)
+    batch, length, width = s.shape
+    n = next_pow2(2 * length - 1)
+    padded = np.empty((batch, width, n), dtype=s.dtype)
+    padded[..., :length] = np.swapaxes(s, 1, 2)
+    padded[..., length:] = 0.0
+    # At the default norm numpy.fft runs a float32 rfft in float64, through
+    # two casting copies; norm="forward" passes its 1/n in the signal's
+    # precision.  The filter spectra carry the n back: both scalings are
+    # exact for a power of two, so every product is the unscaled one.
+    f_hat = np.fft.rfft(n * f.astype(s.dtype, copy=False), n=n, axis=-1)
+    s_hat = np.fft.rfft(padded, axis=-1, norm="forward")
     w_t = None if weights is None else np.swapaxes(weights, 1, 2)
-    return s, np.asarray(mixing), w_t, f_hat, s_hat, n
+    return s, np.asarray(mixing), w_t, f_hat, s_hat, padded
 
 
-def _channels(f_hat, s_hat, n: int, length: int, dtype):
-    """Yield k, F_k and ``filters[k] ∗ signal`` as ``(B, d, L)``: every channel
-    reuses two buffers (numpy.fft takes ``out=``, scipy.fft does not), and
-    ``z_k`` may be weighted in place until the next one is drawn."""
-    product = np.empty(s_hat.shape, dtype=np.result_type(s_hat, f_hat))
-    z = np.empty(s_hat.shape[:2] + (n,), dtype=dtype)
+def _channels(f_hat, s_hat, product, z, length: int):
+    """Yield k, F_k and ``filters[k] ∗ signal`` as a ``(B, d, L)`` view of
+    ``z``: each channel's spectrum is formed in ``product`` and inverse
+    transformed into ``z``, and both are the caller's to overwrite until the
+    next channel is drawn."""
     for k, f_k in enumerate(f_hat):
-        np.fft.irfft(np.multiply(s_hat, f_k, out=product), n=n, axis=-1, out=z)
+        np.fft.irfft(np.multiply(s_hat, f_k, out=product), n=z.shape[-1], axis=-1, out=z)
         yield k, f_k, z[..., :length]
 
 
@@ -94,14 +102,19 @@ def fft_causal_conv_bank(filters, signal, mixing, weights=None) -> np.ndarray:
     ``(K, e, d)``, ``weights`` ``(B, L, K)`` or None for unit weights (no
     weighting pass).  Returns a fresh ``(B, L, e)`` array in the signal's
     dtype, which weighting and mixing run in.  ``∗`` is causal convolution,
-    exact by zero-padding to the next power of two >= 2L-1.  Each channel
+    exact by zero-padding to the next power of two n >= 2L-1.  Each channel
     is inverse transformed, weighted in place and mixed into one
     accumulator, so the peak does not grow with K.
+
+    Buffers, with nf = n/2 + 1: the ``(B, d, n)`` padded signal, which then
+    takes each channel's inverse transform; the ``(K, nf)`` filter spectra;
+    two ``(B, d, nf)`` spectra, the signal's and one channel's product; the
+    ``(B, L, e)`` output and one ``(B, L, e)`` channel term.
     """
-    s, mixing, w_t, f_hat, s_hat, n = _bank_spectra(filters, signal, mixing, weights)
+    s, mixing, w_t, f_hat, s_hat, padded = _bank_spectra(filters, signal, mixing, weights)
     out = np.empty(s.shape[:2] + mixing.shape[1:2], dtype=s.dtype)
     buf = np.empty_like(out)
-    for k, _, z in _channels(f_hat, s_hat, n, s.shape[1], s.dtype):
+    for k, _, z in _channels(f_hat, s_hat, np.empty_like(s_hat), padded, s.shape[1]):
         if w_t is not None:
             z *= w_t[:, k, None, :]
         # (L, e) = z^T @ mixing[k]^T per sequence; the first channel starts the sum
@@ -121,9 +134,18 @@ def fft_causal_conv_bank_adjoint(filters, signal, mixing, grad, weights=None, *,
     ``dweights[..., k] = <dz_k, z_k>``, weight both, take ``dmixing[k] =
     sum_b grad @ z_k^T`` and add ``conj(F_k) * rfft(dz_k)`` into one
     ``(B, d, nf)`` spectrum, whose inverse is ``dsignal``.
+
+    Buffers, with n and nf as in the forward: the ``(B, d, n)`` padded
+    signal, which takes each ``z_k`` and at the end the inverse of the sum,
+    so ``dsignal`` is a ``(B, L, d)`` view of it; the ``(K, nf)`` filter
+    spectra; three ``(B, d, nf)`` spectra, the signal's, one channel's
+    product (which then takes ``rfft(dz_k)``) and the sum; ``dz_k`` as
+    ``(B, d, L)``; the ``(B, e, d)`` per-sequence mixing products; and the
+    ``(B, K, L)`` ``dweights`` when weighted.
     """
-    s, mixing, w_t, f_hat, s_hat, n = _bank_spectra(filters, signal, mixing, weights)
+    s, mixing, w_t, f_hat, s_hat, padded = _bank_spectra(filters, signal, mixing, weights)
     batch, length, width = s.shape
+    n = padded.shape[-1]
     grad_t = np.swapaxes(grad, 1, 2)  # (B, e, L)
     if dmixing.shape != mixing.shape:
         raise StructuralError(
@@ -135,18 +157,18 @@ def fft_causal_conv_bank_adjoint(filters, signal, mixing, grad, weights=None, *,
     per_seq = np.empty((batch,) + mixing.shape[1:], dtype=dmixing.dtype)
     dweights = None if w_t is None else np.empty(w_t.shape, dtype=s.dtype)  # (B, K, L)
     dz = np.empty((batch, width, length), dtype=s.dtype)
-    dz_hat = np.empty(s_hat.shape, dtype=np.result_type(s.dtype, np.complex64))
-    acc = np.zeros_like(dz_hat)  # sum_k conj(F_k) * rfft(dz_k), in bank order from zero
-    for k, f_k, z in _channels(f_hat, s_hat, n, length, s.dtype):
+    product = np.empty_like(s_hat)
+    acc = np.zeros_like(s_hat)  # sum_k conj(F_k) * rfft(dz_k), in bank order from zero
+    for k, f_k, z in _channels(f_hat, s_hat, product, padded, length):
         np.matmul(mixing[k].T, grad_t, out=dz)
         if w_t is not None:
             np.einsum("bdl,bdl->bl", dz, z, out=dweights[:, k])
             z *= w_t[:, k, None, :]
             dz *= w_t[:, k, None, :]
         np.matmul(grad_t, np.swapaxes(z, 1, 2), out=per_seq).sum(axis=0, out=dmixing[k])
-        np.fft.rfft(dz, n=n, axis=-1, out=dz_hat)
-        dz_hat *= np.conj(f_k)
-        acc += dz_hat
-    acc = scipy.fft.irfft(acc, n=n, axis=-1, overwrite_x=True)[..., :length]
-    dsignal = np.swapaxes(acc, 1, 2).astype(s.dtype, copy=False)
+        np.fft.rfft(dz, n=n, axis=-1, norm="forward", out=product)
+        product *= np.conj(f_k)
+        acc += product
+    np.fft.irfft(acc, n=n, axis=-1, out=padded)
+    dsignal = np.swapaxes(padded[..., :length], 1, 2)
     return dsignal, None if dweights is None else np.swapaxes(dweights, 1, 2)

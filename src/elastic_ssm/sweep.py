@@ -20,7 +20,7 @@ import numpy as np
 
 from .basis import SpectralBasis
 from .config import ModelConfig, RunConfig, check_budgets
-from .errors import ConfigError, StructuralError
+from .errors import ConfigError, NumericError, StructuralError
 from .layer import LayerParams, layer_flop_count, layer_forward
 from .model import ModelParams, params_fingerprint
 from .tasks import Dataset, evaluate_model
@@ -48,15 +48,23 @@ COLLAPSE_RETENTION = 0.90
 # ---------------------------------------------------------------------------
 
 
-def _retention(metric: Sequence[float], full: float, higher_better: bool) -> list[float]:
+def _retention(budgets, metric: Sequence[float], metric_name: str,
+               higher_better: bool) -> list[float]:
+    """Each budget's metric relative to the last, full capacity's, oriented
+    so that 1 is as good as full capacity.  A ratio with a zero denominator
+    raises NumericError naming the budget."""
+    full = metric[-1]
     out = []
-    for m in metric:
+    for k, m in zip(budgets, metric):
         if m == full:
             out.append(1.0)  # covers full capacity itself, exactly
-        elif higher_better:
-            out.append(m / full)
-        else:
-            out.append(full / m)
+            continue
+        if (full if higher_better else m) == 0:
+            raise NumericError(
+                f"retention at K={k} is undefined: {metric_name} is {m} there "
+                f"and {full} at full capacity K={budgets[-1]}"
+            )
+        out.append(m / full if higher_better else full / m)
     return out
 
 
@@ -162,16 +170,16 @@ def budget_sweep(
 
     metric = tuple(float(results[k]["metric"]) for k in budgets)
     higher = bool(results[budgets[0]]["higher_better"])
-    full_metric = metric[-1]
-    retention = _retention(metric, full_metric, higher)
+    metric_name = str(results[budgets[0]]["metric_name"])
+    retention = _retention(budgets, metric, metric_name, higher)
     non_monotone = any(b < a for a, b in zip(retention, retention[1:]))
     return SweepReport(
         budgets=budgets,
         metric=metric,
-        metric_name=str(results[budgets[0]]["metric_name"]),
+        metric_name=metric_name,
         orientation="higher-better" if higher else "lower-better",
         retention=tuple(retention),
-        full_metric=full_metric,
+        full_metric=metric[-1],
         sweet_spot=_smallest_qualifying(budgets, retention, SWEET_SPOT_RETENTION),
         collapse_boundary=_smallest_qualifying(budgets, retention, COLLAPSE_RETENTION),
         non_monotone=non_monotone,

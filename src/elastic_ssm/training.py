@@ -191,8 +191,8 @@ class OptimizerState:
 def init_optimizer_state(config: ModelConfig) -> OptimizerState:
     schema = param_schema(config)
     return OptimizerState(
-        m={s.name: np.zeros(s.shape) for s in schema},
-        v={s.name: np.zeros(s.shape) for s in schema},
+        m={s.name: np.zeros(s.shape, dtype=config.precision) for s in schema},
+        v={s.name: np.zeros(s.shape, dtype=config.precision) for s in schema},
         counts={s.name: np.zeros(s.shape[0], dtype=np.int64) for s in schema},
     )
 
@@ -243,8 +243,10 @@ def adamw_step(
         m, v = state.m[name], state.v[name]
         m[rows] = b1 * m[rows] + (1 - b1) * g[rows]
         v[rows] = b2 * v[rows] + (1 - b2) * np.square(g[rows])
-        m_hat = m[rows] / (1.0 - b1 ** t)
-        v_hat = v[rows] / (1.0 - b2 ** t)
+        # the bias corrections in the parameter dtype: b ** t over the int64
+        # counts is float64, which would lift a float32 update
+        m_hat = m[rows] / (1.0 - b1 ** t).astype(p.dtype, copy=False)
+        v_hat = v[rows] / (1.0 - b2 ** t).astype(p.dtype, copy=False)
         step_dir = m_hat / (np.sqrt(v_hat) + eps)
         if wd > 0 and not train.decay_inactive:
             step_dir = step_dir + wd * p[rows]
@@ -300,7 +302,8 @@ def train_step(
 
 
 def optimizer_block_writer(state: OptimizerState, config: ModelConfig) -> Writer:
-    """The optimizer container, holding views of the moment arrays."""
+    """The optimizer container.  It stores the moments as float64 at every
+    precision: views of float64 moments, float32 ones cast exactly."""
     w = Writer(OPTIMIZER_MAGIC)
     w.u32(OPTIMIZER_VERSION)
     w.u64(state.completed)
@@ -319,8 +322,8 @@ def optimizer_state_from_block(data: bytes | memoryview, config: ModelConfig) ->
     completed, applied, skipped = r.u64(), r.u64(), r.u64()
     m, v, counts = {}, {}, {}
     for spec in param_schema(config):
-        m[spec.name] = r.array(spec.shape, "float64")
-        v[spec.name] = r.array(spec.shape, "float64")
+        m[spec.name] = r.array(spec.shape, "float64").astype(config.precision, copy=False)
+        v[spec.name] = r.array(spec.shape, "float64").astype(config.precision, copy=False)
         counts[spec.name] = r.array(spec.shape[:1], "int64")
     r.expect_end()
     return OptimizerState(m=m, v=v, counts=counts, completed=completed,

@@ -243,6 +243,16 @@ class TestSweepCommand:
         assert "budgets [5] outside [2, capacity=4]" in capsys.readouterr().err
         assert calls == []
 
+    def test_undefined_retention_exits_four_and_writes_no_report(
+            self, trained, capsys, monkeypatch):
+        monkeypatch.setattr(
+            sweep_module, "evaluate_model",
+            lambda *a, budget, **kw: {"metric": 0.5 if budget == 2 else 0.0,
+                                      "metric_name": "accuracy", "higher_better": True})
+        assert main(["sweep", "--checkpoint", str(trained)]) == 4
+        assert "retention at K=2 is undefined: accuracy" in capsys.readouterr().err
+        assert not (trained.parent / "sweep.json").exists()
+
     def test_budgets_without_capacity_exit_two(self, trained, capsys):
         code = main(["sweep", "--checkpoint", str(trained),
                      "--budgets", "2,3"])

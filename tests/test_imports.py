@@ -1,6 +1,7 @@
 """Source hygiene: every name a package module, test or demo imports is
-used there, every name a package module exports exists, and no package
-module imports another one's private (underscore) names.
+used there, every name a package module exports exists, no package
+module imports another one's private (underscore) names, and the model
+runs without loading a second FFT library.
 
 pyflakes and ruff are not dependencies, so the check parses the modules with
 ``ast``: an imported name counts as used when it appears as a name in the
@@ -9,6 +10,9 @@ module's code, or, for re-exports, in its ``__all__``.
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -79,3 +83,25 @@ def test_every_export_exists(name):
     module = importlib.import_module(f"elastic_ssm.{name}" if name != "__init__"
                                      else "elastic_ssm")
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+def test_forward_and_backward_leave_scipy_fft_unloaded():
+    # the FFTs are numpy.fft's; SciPy is there for scipy.special.erf alone
+    script = """
+import sys
+import numpy as np
+from elastic_ssm import (ModelConfig, build_basis, init_model_params,
+                         model_backward, model_forward)
+config = ModelConfig(seq_len=16, width=8, gate_hidden=4, capacity=4, depth=1,
+                     input_kind="real", in_dim=1, out_dim=1, budget_set=(2, 4))
+out, cache = model_forward(np.ones((2, 16, 1)), init_model_params(config), config,
+                           build_basis(16, 4), 2)
+model_backward(np.ones_like(out), cache)
+print("scipy.fft" in sys.modules)
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

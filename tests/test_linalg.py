@@ -1,5 +1,7 @@
 """Kernels: causal convolution and the spectral branch."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -182,6 +184,35 @@ class TestFftCausalConv:
         assert out.shape == (2, 16, 5)
         assert out.dtype == dtype
         assert out.flags.c_contiguous and out.base is None
+
+
+    @pytest.mark.parametrize("weighted", [True, False])
+    def test_adjoint_peak_is_the_buffers_its_docstring_lists(self, weighted):
+        # a (B, d, nf) spectrum (1 MiB here) is larger than the slack, which
+        # covers numpy's ufunc buffers (np.getbufsize() elements for each of
+        # up to three operands) and the Python objects
+        batch, length, width, num, out_width = 4, 1024, 16, 4, 8
+        n, nf = 2048, 1025
+        rng = np.random.default_rng(13)
+        filters = rng.normal(size=(num, length))
+        x = rng.normal(size=(batch, length, width))
+        mixing = rng.normal(size=(num, out_width, width))
+        weights = rng.normal(size=(batch, length, num)) if weighted else None
+        grad = rng.normal(size=(batch, length, out_width))
+        dmixing = np.empty_like(mixing)
+        listed = 8 * (batch * width * n  # padded signal, z_k, dsignal
+                      + 2 * num * nf  # filter spectra
+                      + 3 * 2 * batch * width * nf  # signal spectrum, product, sum
+                      + batch * width * length  # dz_k
+                      + batch * out_width * width  # per-sequence mixing products
+                      + (batch * num * length if weighted else 0))  # dweights
+        tracemalloc.start()
+        try:
+            fft_causal_conv_bank_adjoint(filters, x, mixing, grad, weights, dmixing=dmixing)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert listed <= peak <= listed + 4 * 16 * np.getbufsize(), peak - listed
 
 
 class TestNextPow2:

@@ -9,7 +9,7 @@ import pytest
 import elastic_ssm.sweep as sweep_module
 from elastic_ssm.basis import build_basis
 from elastic_ssm.config import ModelConfig, RunConfig, TaskSpec, TrainConfig
-from elastic_ssm.errors import BudgetError, ConfigError
+from elastic_ssm.errors import BudgetError, ConfigError, NumericError
 from elastic_ssm.layer import layer_flop_count, layer_forward
 from elastic_ssm.model import init_model_params, params_fingerprint
 from elastic_ssm.sweep import (
@@ -151,6 +151,29 @@ class TestBudgetSweep:
             with pytest.raises(BudgetError):
                 budget_sweep(init_model_params(cfg), cfg, basis, dataset, budgets=bad)
         assert calls == []
+
+    @pytest.mark.parametrize("higher_better, metrics", [
+        (True, {2: 0.25, 3: 0.0, 4: 0.0}),  # nothing right at full capacity
+        (False, {2: 0.0, 3: 0.5, 4: 0.25}),  # a perfect score below it
+    ])
+    def test_zero_denominator_raises_numeric_error_naming_the_budget(
+            self, copy_setup, monkeypatch, higher_better, metrics):
+        cfg, basis, dataset = copy_setup
+        monkeypatch.setattr(
+            sweep_module, "evaluate_model",
+            lambda *a, budget, **kw: {"metric": metrics[budget], "metric_name": "score",
+                                      "higher_better": higher_better})
+        with pytest.raises(NumericError, match=r"retention at K=2 is undefined: score"):
+            budget_sweep(init_model_params(cfg), cfg, basis, dataset)
+
+    def test_zero_everywhere_retains_exactly_one(self, copy_setup, monkeypatch):
+        cfg, basis, dataset = copy_setup
+        monkeypatch.setattr(
+            sweep_module, "evaluate_model",
+            lambda *a, **kw: {"metric": 0.0, "metric_name": "accuracy",
+                              "higher_better": True})
+        report = budget_sweep(init_model_params(cfg), cfg, basis, dataset)
+        assert report.retention == (1.0, 1.0, 1.0)
 
     def test_duplicate_budgets_rejected(self, copy_setup):
         cfg, basis, dataset = copy_setup

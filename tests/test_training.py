@@ -1,5 +1,6 @@
 """Budget sampler, schedule, clipped AdamW, and the training loop."""
 
+import dataclasses
 import json
 import math
 import shutil
@@ -243,6 +244,25 @@ class TestAdamW:
         adamw_step(params, grads, state, config, train, lr_t=1e-2)
         expected = before - 1e-2 * g / (abs(g) + 1e-8)
         np.testing.assert_allclose(params.readout_b, expected, rtol=1e-12)
+
+    def test_float32_update_is_float32_arithmetic(self):
+        # the same first step written out in float32: float64 moments or
+        # bias corrections would round differently
+        # (from a zero parameter, so the update's last bits show)
+        config = tiny_config(width=16, out_dim=8, precision="float32")
+        params = init_model_params(config)
+        params.readout_w[:] = 0.0
+        state = init_optimizer_state(config)
+        train = TrainConfig(weight_decay=0.0)
+        g = np.random.default_rng(3).normal(size=(8, 16)).astype(np.float32)
+        grads = {name: arr.astype(np.float32) for name, arr in zero_grads(config).items()}
+        grads["readout.w"] = g
+        adamw_step(params, grads, state, config, train, lr_t=1e-2)
+        m_hat = (1 - train.beta1) * g / np.float32(1 - train.beta1)
+        v_hat = (1 - train.beta2) * np.square(g) / np.float32(1 - train.beta2)
+        expected = 0.0 - 1e-2 * (m_hat / (np.sqrt(v_hat) + train.adam_eps))
+        assert state.m["readout.w"].dtype == np.float32
+        np.testing.assert_array_equal(params.readout_w, expected)
 
     def test_decay_only(self):
         config = tiny_config()
@@ -628,6 +648,28 @@ def count_evals(monkeypatch) -> list:
     return calls
 
 
+def assert_resume_reproduces(run, tmp_path):
+    """Pause a run halfway, resume it from its checkpoint, and check the
+    parameters and moments match an uninterrupted run bit for bit; returns
+    both optimizer states."""
+    straight = run_training(run)
+
+    ck = tmp_path / "ck.essm"
+    paused = run_training(run, checkpoint_path=ck, stop_after=30)
+    assert paused["finished"] is False
+    assert paused["completed_steps"] == 30
+    resumed = run_training(run, resume=ck, checkpoint_path=ck)
+    assert resumed["finished"] is True
+    assert params_fingerprint(resumed["params"], run.model) == \
+        params_fingerprint(straight["params"], run.model)
+    for name in resumed["state"].m:
+        np.testing.assert_array_equal(resumed["state"].m[name],
+                                      straight["state"].m[name])
+        np.testing.assert_array_equal(resumed["state"].v[name],
+                                      straight["state"].v[name])
+    return straight["state"], resumed["state"]
+
+
 class TestRunTraining:
     def test_deterministic_trajectory(self, tmp_path):
         run = copy_run()
@@ -646,22 +688,15 @@ class TestRunTraining:
         assert result["final_eval"]["accuracy"] > 0.3  # well above 1/5 chance
 
     def test_resume_reproduces_uninterrupted_trajectory(self, tmp_path):
-        run = copy_run(steps=60)
-        straight = run_training(run)
+        assert_resume_reproduces(copy_run(steps=60), tmp_path)
 
-        ck = tmp_path / "ck.essm"
-        paused = run_training(run, checkpoint_path=ck, stop_after=30)
-        assert paused["finished"] is False
-        assert paused["completed_steps"] == 30
-        resumed = run_training(run, resume=ck, checkpoint_path=ck)
-        assert resumed["finished"] is True
-        assert params_fingerprint(resumed["params"], run.model) == \
-            params_fingerprint(straight["params"], run.model)
-        for name in resumed["state"].m:
-            np.testing.assert_array_equal(resumed["state"].m[name],
-                                          straight["state"].m[name])
-            np.testing.assert_array_equal(resumed["state"].v[name],
-                                          straight["state"].v[name])
+    def test_float32_run_resumes_bit_exact_with_float32_moments(self, tmp_path):
+        run = copy_run(steps=60)
+        run = dataclasses.replace(run, model=dataclasses.replace(run.model,
+                                                                 precision="float32"))
+        for state in assert_resume_reproduces(run, tmp_path):
+            for moments in (state.m, state.v):
+                assert {a.dtype for a in moments.values()} == {np.dtype(np.float32)}
 
     def test_cadence_checkpoint_written_once_and_resumable(self, tmp_path, monkeypatch):
         run = copy_run(steps=10, eval_every=5, checkpoint_every=5)
