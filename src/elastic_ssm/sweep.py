@@ -48,7 +48,7 @@ COLLAPSE_RETENTION = 0.90
 # ---------------------------------------------------------------------------
 
 
-def _retention(budgets, metric: Sequence[float], metric_name: str,
+def _retention(budgets: Sequence[int], metric: Sequence[float], metric_name: str,
                higher_better: bool) -> list[float]:
     """Each budget's metric relative to the last, full capacity's, oriented
     so that 1 is as good as full capacity.  A ratio with a zero denominator

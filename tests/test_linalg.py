@@ -185,7 +185,6 @@ class TestFftCausalConv:
         assert out.dtype == dtype
         assert out.flags.c_contiguous and out.base is None
 
-
     @pytest.mark.parametrize("weighted", [True, False])
     def test_adjoint_peak_is_the_buffers_its_docstring_lists(self, weighted):
         # a (B, d, nf) spectrum (1 MiB here) is larger than the slack, which
