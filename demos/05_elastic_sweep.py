@@ -15,8 +15,6 @@ from elastic_ssm import (
     TaskSpec,
     TrainConfig,
     budget_sweep,
-    find_collapse_boundary,
-    find_sweet_spot,
     run_training,
 )
 
@@ -44,9 +42,8 @@ def main():
     for k, m, r in zip(report.budgets, report.metric, report.retention):
         print(f"{k:<5}{m:>12.6f}{r:>12.4f}")
     print(f"\norientation: {report.orientation}")
-    print(f"sweet spot (>= 98% retained):       K = {find_sweet_spot(report)}")
-    print(f"collapse boundary (>= 90% retained): K = "
-          f"{find_collapse_boundary(report)}")
+    print(f"sweet spot (>= 98% retained):       K = {report.sweet_spot}")
+    print(f"collapse boundary (>= 90% retained): K = {report.collapse_boundary}")
     if report.non_monotone:
         print("note: retention curve is non-monotone (reported, not smoothed)")
 

@@ -50,8 +50,6 @@ from .sweep import (
     VariantSpec,
     bibo_audit,
     budget_sweep,
-    find_collapse_boundary,
-    find_sweet_spot,
     flop_estimate,
     model_bibo_audit,
     run_ablation,
@@ -95,8 +93,6 @@ __all__ = [
     "build_dataset",
     "derive_seeds",
     "evaluate_model",
-    "find_collapse_boundary",
-    "find_sweet_spot",
     "finite_diff_check",
     "flop_estimate",
     "get_or_build_basis",

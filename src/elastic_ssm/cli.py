@@ -229,7 +229,6 @@ def cmd_sweep(args) -> int:
     write_json(out_dir / "sweep_config.json", run.to_dict())
     write_json(out_dir / "sweep.json", report.to_json_dict())
     (out_dir / "sweep.csv").write_text(report.to_csv(), encoding="utf-8")
-    (out_dir / "sweep.tsv").write_text(report.to_tsv(), encoding="utf-8")
     for k, m, r in zip(report.budgets, report.metric, report.retention):
         _print(f"K={k:<4d} {report.metric_name}={m:.6f} retention={r:.4f}")
     _print(
@@ -237,7 +236,7 @@ def cmd_sweep(args) -> int:
         f"collapse_boundary={report.collapse_boundary}"
         + (" [non-monotone]" if report.non_monotone else "")
     )
-    _print(f"reports: {out_dir / 'sweep.json'} (.csv, .tsv)")
+    _print(f"reports: {out_dir / 'sweep.json'} (.csv)")
     return 0
 
 

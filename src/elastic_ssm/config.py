@@ -35,7 +35,6 @@ HEAD_KINDS = ("per-step", "mean-pool")
 TRUNCATION_MODES = ("masked", "direct")
 PRECISIONS = ("float64", "float32")
 LOSS_KINDS = ("cross-entropy", "mse")
-SAMPLER_MODES = ("uniform-over-budget-set", "uniform-over-range")
 TASK_KINDS = ("lds-regression", "copy", "byte-lm")
 
 
@@ -60,14 +59,26 @@ def check_budgets(budgets, capacity: int) -> tuple[int, ...]:
     return ks
 
 
+#: Keys that files written by earlier versions carry, per config class, each
+#: with its one legal value: the behaviour the code has without the key.
+_REMOVED_KEYS = {
+    "ModelConfig": {"gate_input": "normalized"},
+    "TrainConfig": {"sampler_mode": "uniform-over-budget-set", "decay_inactive": False},
+}
+
+
 def _from_dict(cls, data: dict, where: str):
     if not isinstance(data, dict):
         raise ConfigError(f"{where}: expected an object, got {type(data).__name__}")
+    kwargs = dict(data)
+    for key, legal in _REMOVED_KEYS.get(cls.__name__, {}).items():
+        if key in kwargs:
+            _require(kwargs.pop(key) == legal, f"{where}: {key} supports only {legal!r}")
+            warnings.warn(f"{where}: ignoring the removed key {key!r}", stacklevel=3)
     known = {f.name for f in fields(cls)}
-    unknown = sorted(set(data) - known)
+    unknown = sorted(set(kwargs) - known)
     if unknown:
         raise ConfigError(f"{where}: unknown key {unknown[0]!r}")
-    kwargs = dict(data)
     for f in fields(cls):
         if f.name in kwargs and isinstance(kwargs[f.name], list):
             kwargs[f.name] = tuple(kwargs[f.name])
@@ -148,13 +159,6 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, data: dict, where: str = "model") -> "ModelConfig":
-        # older run files and checkpoints carry the removed key gate_input,
-        # whose one legal value is what the gate does anyway
-        if isinstance(data, dict) and "gate_input" in data:
-            _require(data["gate_input"] == "normalized",
-                     f"{where}: gate_input supports only 'normalized'")
-            warnings.warn(f"{where}: ignoring the removed key 'gate_input'", stacklevel=2)
-            data = {k: v for k, v in data.items() if k != "gate_input"}
         return _from_dict(cls, data, where)
 
 
@@ -172,9 +176,7 @@ class TrainConfig:
     beta2: float = 0.999
     adam_eps: float = 1e-8
     clip_norm: float = 1.0
-    sampler_mode: str = "uniform-over-budget-set"
     budget_dropout: bool = True
-    decay_inactive: bool = False
     loss: str = "cross-entropy"
     eval_every: int = 100
     checkpoint_every: int = 0
@@ -192,10 +194,6 @@ class TrainConfig:
         _require(0.0 <= self.beta2 < 1.0, "beta2 must be in [0, 1)")
         _require(self.adam_eps > 0, "adam_eps must be positive")
         _require(self.clip_norm > 0, "clip_norm must be positive")
-        _require(
-            self.sampler_mode in SAMPLER_MODES,
-            f"sampler_mode must be one of {SAMPLER_MODES}",
-        )
         _require(self.loss in LOSS_KINDS, f"loss must be one of {LOSS_KINDS}")
         _require(self.eval_every >= 1, "eval_every must be >= 1")
         _require(self.checkpoint_every >= 0, "checkpoint_every must be >= 0")

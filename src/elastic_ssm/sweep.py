@@ -32,8 +32,6 @@ __all__ = [
     "VariantSpec",
     "bibo_audit",
     "budget_sweep",
-    "find_collapse_boundary",
-    "find_sweet_spot",
     "flop_estimate",
     "model_bibo_audit",
     "run_ablation",
@@ -51,8 +49,12 @@ COLLAPSE_RETENTION = 0.90
 def _retention(budgets: Sequence[int], metric: Sequence[float], metric_name: str,
                higher_better: bool) -> list[float]:
     """Each budget's metric relative to the last, full capacity's, oriented
-    so that 1 is as good as full capacity.  A ratio with a zero denominator
-    raises NumericError naming the budget."""
+    so that 1 is as good as full capacity.  A non-finite metric raises
+    NumericError naming its budgets, and so does a ratio with a zero
+    denominator."""
+    bad = [f"K={k} ({m})" for k, m in zip(budgets, metric) if not np.isfinite(m)]
+    if bad:
+        raise NumericError(f"{metric_name} is not finite at {', '.join(bad)}")
     full = metric[-1]
     out = []
     for k, m in zip(budgets, metric):
@@ -69,6 +71,8 @@ def _retention(budgets: Sequence[int], metric: Sequence[float], metric_name: str
 
 
 def _smallest_qualifying(budgets, retention, threshold) -> int:
+    """Smallest budget whose retention meets the threshold; on a
+    non-monotone curve too (the curve is flagged, not smoothed)."""
     for k, r in zip(budgets, retention):
         if r >= threshold:
             return int(k)
@@ -109,27 +113,6 @@ class SweepReport:
         for k, m, r in zip(self.budgets, self.metric, self.retention):
             buf.write(f"{k},{m!r},{r!r}\n")
         return buf.getvalue()
-
-    def to_tsv(self) -> str:
-        """Plot data: budget and metric, tab-separated."""
-        lines = ["budget\tmetric"]
-        lines += [f"{k}\t{m!r}" for k, m in zip(self.budgets, self.metric)]
-        return "\n".join(lines) + "\n"
-
-
-def find_sweet_spot(report: SweepReport, threshold: float = SWEET_SPOT_RETENTION) -> int:
-    """Smallest budget whose retention meets the threshold.
-
-    Full capacity retains exactly 1, so the scan always terminates there.
-    On a non-monotone curve this is still the smallest qualifying budget
-    (the curve is reported with a flag, not smoothed).
-    """
-    return _smallest_qualifying(report.budgets, report.retention, threshold)
-
-
-def find_collapse_boundary(report: SweepReport, threshold: float = COLLAPSE_RETENTION) -> int:
-    """Smallest budget retaining at least the collapse threshold (90%)."""
-    return _smallest_qualifying(report.budgets, report.retention, threshold)
 
 
 def budget_sweep(
@@ -398,11 +381,4 @@ def run_ablation(
                 "reevaluation": into is reevaluations,
             })
     rows += reevaluations
-    return {
-        "rows": rows,
-        "dataset": shared_dataset,
-        "table": {
-            row["name"]: dict(zip(row["report"].budgets, row["report"].metric))
-            for row in rows
-        },
-    }
+    return {"rows": rows, "dataset": shared_dataset}

@@ -4,8 +4,8 @@ Each optimization step samples a budget K_train, runs the layer stack at
 that budget, and updates parameters with gradient-clipped AdamW.  Channels
 beyond K_train receive structurally zero gradients, so the optimizer keeps
 per-row moment statistics and bias-correction counts: a row's Adam state
-advances only on steps where that row was active, and (by default) weight
-decay skips inactive rows as well.
+advances only on steps where that row was active, and weight decay skips
+inactive rows as well.
 
 Randomness is counter-based (Philox keyed by seed, counter = step index),
 so any step's budget and batch are computable without replaying history —
@@ -78,33 +78,22 @@ def derive_seeds(root_seed: int) -> dict[str, int]:
 
 
 class BudgetSampler:
-    """Uniform budget draws, deterministic in (seed, step index).
+    """Uniform draws over the deployment grid, deterministic in (seed, step
+    index).
 
-    ``mode`` is "uniform-over-budget-set" (the deployment grid) or
-    "uniform-over-range" (all integers 2..capacity).  The support passes
-    ``config.check_budgets``, so a budget set that holds 1 is rejected: a
-    single-channel model cannot normalize its gate meaningfully.
+    The grid passes ``config.check_budgets``, so a budget set that holds 1
+    is rejected: a single-channel model cannot normalize its gate
+    meaningfully.
     """
 
-    def __init__(self, mode: str, budget_set: tuple[int, ...], capacity: int, seed: int):
-        if mode == "uniform-over-budget-set":
-            support = budget_set
-        elif mode == "uniform-over-range":
-            support = range(2, capacity + 1)
-        else:
-            raise ConfigError(f"unknown sampler mode {mode!r}")
-        self.mode = mode
-        self.support = check_budgets(support, capacity)
-        self.capacity = capacity
+    def __init__(self, budget_set: tuple[int, ...], capacity: int, seed: int):
+        self.support = check_budgets(budget_set, capacity)
         self.seed = int(seed)
 
     def draw(self, step: int) -> int:
         """The budget for optimization step ``step`` (random access)."""
         rng = np.random.Generator(np.random.Philox(key=self.seed, counter=int(step)))
         return int(self.support[rng.integers(len(self.support))])
-
-    def expected_budget(self) -> float:
-        return float(np.mean(self.support))
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +211,7 @@ def adamw_step(
 
     update = lr * (m_hat / (sqrt(v_hat) + eps) + wd * p) on active rows;
     eps sits outside the square root.  Inactive rows keep parameters,
-    moments, and counts untouched (decay included, unless
-    ``train.decay_inactive`` asks for decay everywhere).
+    moments, and counts untouched, decay included.
     """
     b1, b2, eps, wd = train.beta1, train.beta2, train.adam_eps, train.weight_decay
     for name, p in flatten_params(params, config):
@@ -234,8 +222,6 @@ def adamw_step(
             )
         k = None if plan is None else plan.get(name)
         rows = slice(None) if k is None else slice(0, k)
-        if train.decay_inactive and wd > 0:
-            p -= lr_t * wd * p  # every row, ignoring the activity mask
         if k == 0:
             continue
         state.counts[name][rows] += 1
@@ -248,7 +234,7 @@ def adamw_step(
         m_hat = m[rows] / (1.0 - b1 ** t).astype(p.dtype, copy=False)
         v_hat = v[rows] / (1.0 - b2 ** t).astype(p.dtype, copy=False)
         step_dir = m_hat / (np.sqrt(v_hat) + eps)
-        if wd > 0 and not train.decay_inactive:
+        if wd > 0:
             step_dir = step_dir + wd * p[rows]
         p[rows] -= lr_t * step_dir
     state.applied += 1
@@ -421,10 +407,7 @@ def run_training(
             f"trains with {dataset.loss!r}; set train.loss to {dataset.loss!r}"
         )
 
-    sampler = BudgetSampler(
-        train_cfg.sampler_mode, model_cfg.budget_set, model_cfg.capacity,
-        seed=train_cfg.seed,
-    )
+    sampler = BudgetSampler(model_cfg.budget_set, model_cfg.capacity, seed=train_cfg.seed)
     batch_key = _batch_key(train_cfg.seed)
 
     if resume is not None:

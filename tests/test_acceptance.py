@@ -153,8 +153,7 @@ class TestCriterion05MaskedGradients:
         )
         basis = build_basis(cfg.seq_len, cfg.capacity)
         params = init_model_params(cfg)
-        sampler = BudgetSampler("uniform-over-budget-set", cfg.budget_set,
-                                cfg.capacity, seed=55)
+        sampler = BudgetSampler(cfg.budget_set, cfg.capacity, seed=55)
         rng = np.random.default_rng(5)
         shared_norm_floor = np.inf
         for step in range(100):
@@ -259,7 +258,7 @@ class TestCriterion07OutputBoundAudit:
 
 class TestCriterion08SamplerExpectation:
     def test_million_draw_mean(self):
-        sampler = BudgetSampler("uniform-over-budget-set", GRID, 32, seed=88)
+        sampler = BudgetSampler(GRID, 32, seed=88)
         total = 0
         n = 1_000_000
         for step in range(n):

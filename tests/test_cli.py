@@ -173,6 +173,15 @@ class TestTrainCommand:
         assert main(["train", "--config", str(config)]) == 2
         assert "learning_rate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("decay_inactive", True), ("sampler_mode", "uniform-over-range"),
+    ])
+    def test_removed_key_with_another_value_exits_two_naming_it(
+            self, tmp_path, capsys, key, value):
+        config, _ = write_config(tmp_path, train={key: value})
+        assert main(["train", "--config", str(config)]) == 2
+        assert f"{key} supports only" in capsys.readouterr().err
+
     def test_missing_config_file_exits_two(self, tmp_path, capsys):
         assert main(["train", "--config", str(tmp_path / "nope.json")]) == 2
         assert "not found" in capsys.readouterr().err
@@ -218,8 +227,7 @@ class TestSweepCommand:
         csv = (out_dir / "sweep.csv").read_text().splitlines()
         assert csv[0] == "budget,metric,retention"
         assert len(csv) == 4
-        tsv = (out_dir / "sweep.tsv").read_text().splitlines()
-        assert tsv[0] == "budget\tmetric"
+        assert not (out_dir / "sweep.tsv").exists()
         stdout = capsys.readouterr().out
         assert "sweet_spot=" in stdout
         # training run's own resolved config survives the sweep
@@ -252,6 +260,30 @@ class TestSweepCommand:
         assert main(["sweep", "--checkpoint", str(trained)]) == 4
         assert "retention at K=2 is undefined: accuracy" in capsys.readouterr().err
         assert not (trained.parent / "sweep.json").exists()
+
+    @pytest.mark.parametrize("bad_budget", [4, 2])  # full capacity, and below it
+    def test_non_finite_metric_exits_four_and_writes_no_report(
+            self, trained, capsys, monkeypatch, bad_budget):
+        monkeypatch.setattr(
+            sweep_module, "evaluate_model",
+            lambda *a, budget, **kw: {"metric": np.nan if budget == bad_budget else 0.5,
+                                      "metric_name": "accuracy", "higher_better": True})
+        assert main(["sweep", "--checkpoint", str(trained)]) == 4
+        assert f"accuracy is not finite at K={bad_budget} (nan)" in capsys.readouterr().err
+        assert not any((trained.parent / name).exists()
+                       for name in ("sweep.json", "sweep.csv", "sweep_config.json"))
+
+    def test_run_directory_with_removed_train_keys_sweeps(self, trained):
+        # the config.json as `essm train` wrote it while TrainConfig still had
+        # sampler_mode and decay_inactive
+        config = trained.parent / "config.json"
+        doc = json.loads(config.read_text())
+        doc["train"].update(sampler_mode="uniform-over-budget-set", decay_inactive=False)
+        config.write_text(json.dumps(doc))
+        with pytest.warns(UserWarning, match="removed key") as record:
+            assert main(["sweep", "--checkpoint", str(trained)]) == 0
+        assert len(record) == 2
+        assert (trained.parent / "sweep.json").exists()
 
     def test_budgets_without_capacity_exit_two(self, trained, capsys):
         code = main(["sweep", "--checkpoint", str(trained),

@@ -1,6 +1,9 @@
 """Configuration schema: defaults, validation, JSON round trips."""
 
+import ast
+import dataclasses
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from elastic_ssm.config import (
     DEFAULT_BUDGET_SET,
     RUN_CONFIG_VERSION,
     ModelConfig,
+    Paths,
     RunConfig,
     TaskSpec,
     TrainConfig,
@@ -126,9 +130,8 @@ class TestTrainConfig:
         assert t.lr == 3e-4
         assert t.warmup_frac == 0.05
         assert t.final_lr_frac == 0.10
-        assert t.sampler_mode == "uniform-over-budget-set"
         assert t.budget_dropout is True
-        assert t.decay_inactive is False
+        assert len(dataclasses.fields(t)) == 16
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -138,8 +141,6 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(warmup_frac=1.0)
         with pytest.raises(ConfigError):
-            TrainConfig(sampler_mode="uniform")
-        with pytest.raises(ConfigError):
             TrainConfig(loss="hinge")
         with pytest.raises(ConfigError):
             TrainConfig(max_skip_frac=1.5)
@@ -147,6 +148,23 @@ class TestTrainConfig:
     def test_round_trip(self):
         t = TrainConfig(steps=50, batch_size=4, lr=1e-3)
         assert TrainConfig.from_dict(t.to_dict()) == t
+
+    def test_removed_keys_dropped_with_one_warning_each(self):
+        doc = {**TrainConfig().to_dict(), "sampler_mode": "uniform-over-budget-set",
+               "decay_inactive": False}
+        with pytest.warns(UserWarning) as record:
+            assert TrainConfig.from_dict(doc) == TrainConfig()
+        assert sorted(str(w.message) for w in record) == [
+            "train: ignoring the removed key 'decay_inactive'",
+            "train: ignoring the removed key 'sampler_mode'",
+        ]
+
+    def test_removed_keys_are_not_fields(self):
+        # their other values are refused in test_training and test_cli
+        for key, value in (("sampler_mode", "uniform-over-range"),
+                           ("decay_inactive", True)):
+            with pytest.raises(TypeError):
+                TrainConfig(**{key: value})
 
 
 class TestTaskSpec:
@@ -179,6 +197,17 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="version"):
             RunConfig.from_dict({"version": 999})
 
+    def test_run_file_with_removed_keys_loads(self):
+        # a config.json as `essm train` wrote it while TrainConfig still had
+        # sampler_mode and decay_inactive
+        doc = json.loads(canonical_json(RunConfig().to_dict()))
+        doc["train"].update(sampler_mode="uniform-over-budget-set", decay_inactive=False)
+        with pytest.warns(UserWarning) as record:
+            assert RunConfig.from_dict(doc) == RunConfig()
+        assert len(record) == 2
+        assert all(str(w.message).startswith("config.train: ignoring the removed key")
+                   for w in record)
+
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError, match="optimzer"):
             RunConfig.from_dict({"optimzer": {}})
@@ -191,3 +220,19 @@ class TestRunConfig:
         run = RunConfig()
         assert run.version == RUN_CONFIG_VERSION
         assert run.model.capacity == 32
+
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "elastic_ssm"
+
+
+def test_every_config_field_is_read_outside_config_py():
+    """A field that config.py validates but no other module reads is a knob
+    that does nothing."""
+    read = set()
+    for path in SRC.glob("*.py"):
+        if path.name != "config.py":
+            read |= {node.attr for node in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    for cls in (ModelConfig, TrainConfig, TaskSpec, Paths):
+        unread = [f.name for f in dataclasses.fields(cls) if f.name not in read]
+        assert not unread, f"{cls.__name__} fields never read: {unread}"

@@ -296,7 +296,7 @@ class TestForwardModeFromConfig:
         assert names(model_loss_fn) == [
             "inputs", "targets", "config", "basis", "budget", "mask"]
         assert names(run_ablation) == ["base", "variants", "budgets", "out_dir"]
-        assert names(BudgetSampler) == ["mode", "budget_set", "capacity", "seed"]
+        assert names(BudgetSampler) == ["budget_set", "capacity", "seed"]
         assert names(layer_forward) == [
             "u", "p", "basis", "budget", "gate_enabled", "truncation"]
 

@@ -16,13 +16,10 @@ from elastic_ssm.sweep import (
     COLLAPSE_RETENTION,
     DEFAULT_VARIANTS,
     SWEET_SPOT_RETENTION,
-    SweepReport,
     VariantSpec,
     bibo_audit,
     bibo_constant,
     budget_sweep,
-    find_collapse_boundary,
-    find_sweet_spot,
     flop_estimate,
     model_bibo_audit,
     run_ablation,
@@ -92,21 +89,19 @@ def constant_prediction_params(cfg):
     return params
 
 
-def report_with_retention(budgets, retention):
-    """A synthetic report for exercising the threshold scanners directly."""
-    retention = tuple(float(r) for r in retention)
-    budgets = tuple(int(k) for k in budgets)
-    return SweepReport(
-        budgets=budgets,
-        metric=retention,  # values unused by the scanners
-        metric_name="accuracy",
-        orientation="higher-better",
-        retention=retention,
-        full_metric=retention[-1],
-        sweet_spot=0,
-        collapse_boundary=0,
-        non_monotone=any(b < a for a, b in zip(retention, retention[1:])),
-    )
+def sweep_with_retention(monkeypatch, budgets, retention):
+    """budget_sweep over a stubbed evaluation whose higher-better metric is
+    the given retention, full capacity scoring exactly 1."""
+    metric = dict(zip(budgets, (float(r) for r in retention)))
+    cfg = small_config(seq_len=max(16, budgets[-1]), capacity=budgets[-1],
+                       budget_set=tuple(budgets))
+    monkeypatch.setattr(
+        sweep_module, "evaluate_model",
+        lambda *a, budget, **kw: {"metric": metric[budget], "metric_name": "accuracy",
+                                  "higher_better": True})
+    report = budget_sweep(init_model_params(cfg), cfg, None, None)
+    assert report.retention == tuple(metric.values())
+    return report
 
 
 class TestBudgetSweep:
@@ -164,6 +159,21 @@ class TestBudgetSweep:
             lambda *a, budget, **kw: {"metric": metrics[budget], "metric_name": "score",
                                       "higher_better": higher_better})
         with pytest.raises(NumericError, match=r"retention at K=2 is undefined: score"):
+            budget_sweep(init_model_params(cfg), cfg, basis, dataset)
+
+    @pytest.mark.parametrize("metrics, where", [
+        ({2: 0.5, 3: 0.5, 4: math.nan}, r"K=4 \(nan\)"),  # at full capacity
+        ({2: 0.5, 3: math.nan, 4: -math.inf}, r"K=3 \(nan\), K=4 \(-inf\)"),
+        ({2: math.nan, 3: 0.5, 4: 0.5}, r"K=2 \(nan\)"),  # at a smaller budget
+    ])
+    def test_non_finite_metric_raises_numeric_error_naming_the_budgets(
+            self, copy_setup, monkeypatch, metrics, where):
+        cfg, basis, dataset = copy_setup
+        monkeypatch.setattr(
+            sweep_module, "evaluate_model",
+            lambda *a, budget, **kw: {"metric": metrics[budget], "metric_name": "score",
+                                      "higher_better": True})
+        with pytest.raises(NumericError, match=f"score is not finite at {where}$"):
             budget_sweep(init_model_params(cfg), cfg, basis, dataset)
 
     def test_zero_everywhere_retains_exactly_one(self, copy_setup, monkeypatch):
@@ -225,49 +235,41 @@ class TestBudgetSweep:
         assert csv[0] == "budget,metric,retention"
         assert len(csv) == 1 + len(cfg.budget_set)
         assert csv[1].startswith("2,")
-        tsv = report.to_tsv().splitlines()
-        assert tsv[0] == "budget\tmetric"
-        assert len(tsv) == 1 + len(cfg.budget_set)
-        for line in tsv[1:]:
-            k, m = line.split("\t")
-            float(m), int(k)  # parseable plot data
+        for line in csv[1:]:
+            k, m, r = line.split(",")
+            int(k), float(m), float(r)  # parseable plot data
 
 
 class TestThresholdScanners:
-    def test_worked_example(self):
-        report = report_with_retention((2, 4, 8, 32), (0.5, 0.97, 0.985, 1.0))
-        assert find_sweet_spot(report) == 8
-        assert find_collapse_boundary(report) == 4
+    def test_worked_example(self, monkeypatch):
+        report = sweep_with_retention(monkeypatch, (2, 4, 8, 32), (0.5, 0.97, 0.985, 1.0))
+        assert report.sweet_spot == 8
+        assert report.collapse_boundary == 4
 
-    def test_all_retentions_one_gives_min_budget(self):
-        report = report_with_retention((2, 4, 8, 32), (1.0, 1.0, 1.0, 1.0))
-        assert find_sweet_spot(report) == 2
-        assert find_collapse_boundary(report) == 2
+    def test_all_retentions_one_gives_min_budget(self, monkeypatch):
+        report = sweep_with_retention(monkeypatch, (2, 4, 8, 32), (1.0, 1.0, 1.0, 1.0))
+        assert report.sweet_spot == 2
+        assert report.collapse_boundary == 2
 
-    def test_capacity_always_qualifies(self):
-        report = report_with_retention((2, 4, 32), (0.1, 0.2, 1.0))
-        assert find_sweet_spot(report) == 32
-        assert find_collapse_boundary(report) == 32
+    def test_capacity_always_qualifies(self, monkeypatch):
+        report = sweep_with_retention(monkeypatch, (2, 4, 32), (0.1, 0.2, 1.0))
+        assert report.sweet_spot == 32
+        assert report.collapse_boundary == 32
 
-    def test_non_monotone_returns_first_qualifying_and_flags(self):
-        report = report_with_retention((2, 4, 32), (0.99, 0.95, 1.0))
+    def test_non_monotone_returns_first_qualifying_and_flags(self, monkeypatch):
+        report = sweep_with_retention(monkeypatch, (2, 4, 32), (0.99, 0.95, 1.0))
         assert report.non_monotone
-        assert find_sweet_spot(report) == 2  # smallest qualifying, not smoothed
-        assert find_collapse_boundary(report) == 2
+        assert report.sweet_spot == 2  # smallest qualifying, not smoothed
+        assert report.collapse_boundary == 2
         assert report.to_json_dict()["flags"] == ["non-monotone"]
 
-    def test_custom_threshold(self):
-        report = report_with_retention((2, 4, 8), (0.5, 0.8, 1.0))
-        assert find_sweet_spot(report, threshold=0.75) == 4
-        assert find_collapse_boundary(report, threshold=0.4) == 2
-
-    def test_collapse_never_above_sweet_spot(self):
+    def test_collapse_never_above_sweet_spot(self, monkeypatch):
         rng = np.random.default_rng(0)
         budgets = (2, 3, 4, 6, 8)
         for _ in range(50):
             retention = np.concatenate([rng.uniform(0.3, 1.1, size=4), [1.0]])
-            report = report_with_retention(budgets, retention)
-            assert find_collapse_boundary(report) <= find_sweet_spot(report)
+            report = sweep_with_retention(monkeypatch, budgets, retention)
+            assert report.collapse_boundary <= report.sweet_spot
 
     def test_thresholds_match_module_constants(self):
         assert SWEET_SPOT_RETENTION == 0.98
@@ -547,7 +549,6 @@ class TestAblation:
         assert names == ["es-ssm", "base-spectral", "gate-only",
                          "dropout-only", "es-ssm@direct"]
         assert out["rows"][-1]["reevaluation"] is True
-        assert set(out["table"]) == set(names)
 
     def test_reevaluation_reuses_the_trained_checkpoint(self, tiny_ablation):
         _, out = tiny_ablation

@@ -56,14 +56,14 @@ DEPLOY_SET = (2, 3, 4, 6, 8, 12, 16, 24, 32)
 
 class TestBudgetSampler:
     def test_draws_stay_in_support(self):
-        s = BudgetSampler("uniform-over-budget-set", DEPLOY_SET, 32, seed=1)
+        s = BudgetSampler(DEPLOY_SET, 32, seed=1)
         draws = {s.draw(i) for i in range(2000)}
         assert draws <= set(DEPLOY_SET)
         assert len(draws) == len(DEPLOY_SET)  # every budget appears
 
     def test_uniform_within_three_sigma(self):
         n = 20_000
-        s = BudgetSampler("uniform-over-budget-set", DEPLOY_SET, 32, seed=2)
+        s = BudgetSampler(DEPLOY_SET, 32, seed=2)
         counts = np.zeros(len(DEPLOY_SET), dtype=int)
         index = {k: i for i, k in enumerate(DEPLOY_SET)}
         for i in range(n):
@@ -76,49 +76,37 @@ class TestBudgetSampler:
         # the deployment grid averages to 107/9; the empirical mean over a
         # medium sample must sit within 3 sigma of it
         n = 20_000
-        s = BudgetSampler("uniform-over-budget-set", DEPLOY_SET, 32, seed=3)
+        s = BudgetSampler(DEPLOY_SET, 32, seed=3)
         draws = np.array([s.draw(i) for i in range(n)], dtype=float)
         expected = 107.0 / 9.0
-        assert s.expected_budget() == pytest.approx(expected, abs=1e-12)
         sigma_mean = draws.std() / math.sqrt(n)
         assert abs(draws.mean() - expected) <= 3 * sigma_mean
 
     def test_single_element_set(self):
-        s = BudgetSampler("uniform-over-budget-set", (32,), 32, seed=0)
+        s = BudgetSampler((32,), 32, seed=0)
         assert all(s.draw(i) == 32 for i in range(50))
 
     def test_seed_reproducibility_and_random_access(self):
-        a = BudgetSampler("uniform-over-budget-set", DEPLOY_SET, 32, seed=7)
-        b = BudgetSampler("uniform-over-budget-set", DEPLOY_SET, 32, seed=7)
+        a = BudgetSampler(DEPLOY_SET, 32, seed=7)
+        b = BudgetSampler(DEPLOY_SET, 32, seed=7)
         seq = [a.draw(i) for i in range(100)]
         # drawing out of order must give the same per-step values
         assert [b.draw(i) for i in reversed(range(100))] == seq[::-1]
-        c = BudgetSampler("uniform-over-budget-set", DEPLOY_SET, 32, seed=8)
+        c = BudgetSampler(DEPLOY_SET, 32, seed=8)
         assert [c.draw(i) for i in range(100)] != seq
-
-    def test_range_mode_support(self):
-        s = BudgetSampler("uniform-over-range", DEPLOY_SET, 8, seed=0)
-        assert s.support == (2, 3, 4, 5, 6, 7, 8)
-        draws = {s.draw(i) for i in range(500)}
-        assert draws == set(range(2, 9))
-
-    def test_budget_one_excluded_by_default(self):
-        s = BudgetSampler("uniform-over-range", DEPLOY_SET, 4, seed=0)
-        assert 1 not in s.support
 
     def test_budget_one_in_budget_set_rejected(self):
         with pytest.raises(ConfigError, match=r"budgets \[1\] outside \[2, "):
-            BudgetSampler("uniform-over-budget-set", (1, 2, 4), 4, seed=0)
+            BudgetSampler((1, 2, 4), 4, seed=0)
 
     def test_empty_support_rejected(self):
         with pytest.raises(ConfigError):
-            BudgetSampler("uniform-over-budget-set", (), 32, seed=0)
-        with pytest.raises(ConfigError):
-            BudgetSampler("uniform-over-range", DEPLOY_SET, 1, seed=0)
+            BudgetSampler((), 32, seed=0)
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ConfigError):
-            BudgetSampler("lottery", DEPLOY_SET, 32, seed=0)
+        # the grid is the one sampler; a run file asking for another is refused
+        with pytest.raises(ConfigError, match="sampler_mode"):
+            TrainConfig.from_dict({"sampler_mode": "uniform-over-range"})
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +334,7 @@ class TestAdamW:
         params = init_model_params(config)
         params.blocks[0].layer.mixing[:] = 1.0
         state = init_optimizer_state(config)
-        train = TrainConfig(weight_decay=0.1, decay_inactive=False)
+        train = TrainConfig(weight_decay=0.1)
         adamw_step(params, zero_grads(config), state, config, train, lr_t=1e-2,
                    plan=step_mask_plan(config, budget=2))
         mixing = params.blocks[0].layer.mixing
@@ -354,15 +342,12 @@ class TestAdamW:
         np.testing.assert_allclose(mixing[:2], 1.0 - 1e-3, rtol=1e-12)
 
     def test_decay_inactive_flag(self):
-        config = tiny_config()
-        params = init_model_params(config)
-        params.blocks[0].layer.mixing[:] = 1.0
-        state = init_optimizer_state(config)
-        train = TrainConfig(weight_decay=0.1, decay_inactive=True)
-        adamw_step(params, zero_grads(config), state, config, train, lr_t=1e-2,
-                   plan=step_mask_plan(config, budget=2))
-        np.testing.assert_allclose(params.blocks[0].layer.mixing, 1.0 - 1e-3,
-                                   rtol=1e-12)
+        # decaying inactive rows is not an option: a run file asking for it
+        # is refused, and one carrying the default loads
+        with pytest.raises(ConfigError, match="decay_inactive"):
+            TrainConfig.from_dict({"decay_inactive": True})
+        with pytest.warns(UserWarning, match="decay_inactive"):
+            assert TrainConfig.from_dict({"decay_inactive": False}) == TrainConfig()
 
 
 class TestStepMaskPlan:
@@ -428,7 +413,7 @@ class TestTrainStep:
 
         monkeypatch.setattr(backprop_module, "layer_backward", spy)
         params = init_model_params(config)
-        sampler = BudgetSampler("uniform-over-budget-set", (3,), 4, seed=0)
+        sampler = BudgetSampler((3,), 4, seed=0)
         mask = None if dataset.mask is None else dataset.mask[:4]
         metrics = train_step(params, init_optimizer_state(config),
                              dataset.inputs[:4], dataset.targets[:4], mask,
@@ -441,8 +426,7 @@ class TestTrainStep:
         config, dataset, basis = copy_setup()
         train_a = TrainConfig(budget_dropout=True, weight_decay=0.01, seed=5)
         train_b = TrainConfig(budget_dropout=False, weight_decay=0.01, seed=5)
-        sampler_full = BudgetSampler("uniform-over-budget-set",
-                                     (config.capacity,), config.capacity, seed=5)
+        sampler_full = BudgetSampler((config.capacity,), config.capacity, seed=5)
         pa = init_model_params(config)
         pb = init_model_params(config)
         sa = init_optimizer_state(config)
@@ -493,7 +477,7 @@ class TestTrainStep:
         params = init_model_params(config)
         params.readout_w[0, 0] = np.nan
         state = init_optimizer_state(config)
-        sampler = BudgetSampler("uniform-over-budget-set", (4,), 4, seed=0)
+        sampler = BudgetSampler((4,), 4, seed=0)
         fingerprint = params_fingerprint(params, config)
         with pytest.raises(NumericError):
             train_step(params, state, dataset.inputs[:4], dataset.targets[:4],
@@ -506,7 +490,7 @@ class TestTrainStep:
         train = TrainConfig(seed=1, steps=10)
         params = init_model_params(config)
         state = init_optimizer_state(config)
-        sampler = BudgetSampler("uniform-over-budget-set", (2, 4), 4, seed=1)
+        sampler = BudgetSampler((2, 4), 4, seed=1)
         m = train_step(params, state, dataset.inputs[:4], dataset.targets[:4],
                        dataset.mask[:4], config, train, basis, sampler, 0)
         assert set(m) == {"loss", "budget", "grad_norm", "lr"}
