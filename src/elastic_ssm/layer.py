@@ -205,7 +205,11 @@ def layer_flop_count(
     channels plus the input transform), and per timestep: budget mixing
     products (d^2), the skip product (d^2), the gate MLP (d_g*d in,
     capacity*d_g out), and the budget-sized softmax/weighting work.
-    The count is exactly affine in the budget.
+    The count is exactly affine in the budget.  It is the FFT path's nominal
+    count; sequences of at most ``linalg.DIRECT_MAX_LEN`` steps take the
+    direct path, which spends L^2*d multiply-adds per channel and sequence
+    on its Toeplitz product in place of the FFT term, so its cost is affine
+    in the budget too.
     """
     # log2(L), an exact int when L is a power of two
     log2l = seq_len.bit_length() - 1 if seq_len & (seq_len - 1) == 0 else math.log2(seq_len)

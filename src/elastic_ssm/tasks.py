@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import TASK_KINDS, ModelConfig, TaskSpec
 from .errors import ArtifactError, ConfigError, NumericError, StructuralError
-from .linalg import next_pow2
+from .linalg import convolves_directly, next_pow2
 from .model import ModelParams, model_forward
 from .basis import SpectralBasis
 from .backprop import mean_squared_error, softmax_cross_entropy
@@ -357,12 +357,21 @@ def forward_bytes_per_sequence(config: ModelConfig) -> int:
     """Bytes ``model_forward`` holds per sequence at its peak, at the
     precision's bytes a value: every layer's norm and layer caches (input,
     scale, gate activations and weights), plus one layer's working set
-    (spectra, accumulators, output)."""
+    (the convolution's buffers on the bank's path, accumulators, output).
+
+    The direct path's ``(L, L)`` Toeplitz matrix serves the whole batch, so
+    each sequence is charged half of it: an upper bound for every batch of
+    two or more, and at most ``L * L / 2`` values short for a lone sequence.
+    """
     length, width = config.seq_len, config.width
     gate = 2 * (config.gate_hidden + config.capacity) if config.gate_enabled else config.capacity
     kept = length * (2 * width + 1 + gate)
-    n = next_pow2(2 * length - 1)  # two complex (d, n/2 + 1) spectra, one real (d, n)
-    working = width * (3 * n + 4) + length * 4 * width
+    if convolves_directly(length):  # one (L, d) channel, half the (L, L) Toeplitz matrix
+        spectral = length * (width + length // 2)
+    else:  # two complex (d, n/2 + 1) spectra, one real (d, n)
+        n = next_pow2(2 * length - 1)
+        spectral = width * (3 * n + 4)
+    working = spectral + length * 4 * width
     return np.dtype(config.precision).itemsize * (config.depth * kept + working)
 
 

@@ -202,6 +202,10 @@ class TestLayerBackward:
             an = du.reshape(-1)[pick]
             assert abs(fd - an) < 1e-6 * max(1.0, abs(fd)), ("input", pick)
 
+    def test_finite_differences_on_the_fft_path(self, basis16, fft_path):
+        # every gradcheck runs at L <= 16, where the bank convolves directly
+        self.test_finite_differences(basis16, "masked", True, 3)
+
     def test_masked_mode_inactive_rows_bitwise_zero(self, basis16):
         rng = np.random.default_rng(6)
         p = random_layer_params(rng, width=3, gate_hidden=4, capacity=6)

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from elastic_ssm import linalg
 from elastic_ssm.errors import StructuralError
 from elastic_ssm.linalg import (
     _bank_spectra,
@@ -70,7 +71,11 @@ def conv_one(filt, signal):
                                 np.eye(signal.shape[1])[None])[0]
 
 
-class TestFftCausalConv:
+class BankContract:
+    """What the spectral branch promises on either path; each subclass runs
+    it on one.  The lengths here are short, so the direct path is the
+    default."""
+
     def test_matches_direct_on_200_random_instances(self):
         rng = np.random.default_rng(3)
         for trial in range(200):
@@ -165,16 +170,6 @@ class TestFftCausalConv:
         with pytest.raises(StructuralError):
             fft_causal_conv_bank_adjoint(filters, x, mixing, y, dmixing=stack)
 
-    @pytest.mark.parametrize("dtype, spectrum", [(np.float32, np.complex64),
-                                                 (np.float64, np.complex128)])
-    def test_filter_spectra_take_the_signal_precision(self, dtype, spectrum):
-        # float64 filters against a float32 signal transform in complex64
-        rng = np.random.default_rng(12)
-        s = rng.normal(size=(2, 16, 3)).astype(dtype)
-        *_, f_hat, s_hat, _ = _bank_spectra(rng.normal(size=(4, 16)), s,
-                                            np.ones((4, 5, 3), dtype), None)
-        assert f_hat.dtype == s_hat.dtype == spectrum
-
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bank_output_is_a_fresh_array_of_the_signal_dtype(self, dtype):
         rng = np.random.default_rng(9)
@@ -184,6 +179,32 @@ class TestFftCausalConv:
         assert out.shape == (2, 16, 5)
         assert out.dtype == dtype
         assert out.flags.c_contiguous and out.base is None
+
+
+class TestFftCausalConv(BankContract):
+    pytestmark = pytest.mark.usefixtures("fft_path")
+
+    def test_matches_direct_on_criterion_two_instances(self):
+        # acceptance criterion 2's draw (L <= 256), which by default runs the
+        # direct path
+        rng = np.random.default_rng(2)
+        for trial in range(200):
+            length = int(rng.integers(1, 257))
+            filt = rng.normal(size=length)
+            signal = rng.normal(size=length)
+            want = direct_causal_conv(filt, signal)
+            got = conv_one(filt, signal[:, None])[:, 0]
+            bound = 1e-6 * (1.0 + np.max(np.abs(want)))
+            assert np.max(np.abs(got - want)) <= bound, f"trial {trial}"
+
+    @pytest.mark.parametrize("dtype, spectrum", [(np.float32, np.complex64),
+                                                 (np.float64, np.complex128)])
+    def test_filter_spectra_take_the_signal_precision(self, dtype, spectrum):
+        # float64 filters against a float32 signal transform in complex64
+        rng = np.random.default_rng(12)
+        s = rng.normal(size=(2, 16, 3)).astype(dtype)
+        f_hat, s_hat, _ = _bank_spectra(rng.normal(size=(4, 16)), s)
+        assert f_hat.dtype == s_hat.dtype == spectrum
 
     @pytest.mark.parametrize("weighted", [True, False])
     def test_adjoint_peak_is_the_buffers_its_docstring_lists(self, weighted):
@@ -212,6 +233,67 @@ class TestFftCausalConv:
         finally:
             tracemalloc.stop()
         assert listed <= peak <= listed + 4 * 16 * np.getbufsize(), peak - listed
+
+
+class TestToeplitzPath(BankContract):
+    @pytest.mark.parametrize("weighted", [True, False])
+    def test_adjoint_peak_is_the_buffers_its_docstring_lists(self, weighted):
+        # T_k (512 KiB) and each (B, L, d) buffer (1 MiB) are at least the
+        # slack, which covers numpy's ufunc buffers and the Python objects
+        batch, length, width, num, out_width = 8, 256, 64, 4, 8
+        rng = np.random.default_rng(13)
+        filters = rng.normal(size=(num, length))
+        x = rng.normal(size=(batch, length, width))
+        mixing = rng.normal(size=(num, out_width, width))
+        weights = rng.normal(size=(batch, length, num)) if weighted else None
+        grad = rng.normal(size=(batch, length, out_width))
+        dmixing = np.empty_like(mixing)
+        listed = 8 * (num * (2 * length - 1)  # padded bank
+                      + length * length  # T_k
+                      + 3 * batch * length * width  # channel, dz_k, dsignal
+                      + (batch * num * length if weighted else 0))  # dweights
+        tracemalloc.start()
+        try:
+            fft_causal_conv_bank_adjoint(filters, x, mixing, grad, weights, dmixing=dmixing)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert listed <= peak <= listed + 4 * 16 * np.getbufsize(), peak - listed
+
+
+class TestPathSelection:
+    @pytest.mark.parametrize("length, direct", [(linalg.DIRECT_MAX_LEN, True),
+                                                (linalg.DIRECT_MAX_LEN + 1, False)])
+    def test_the_paths_agree_on_either_side_of_the_rule(self, monkeypatch, length,
+                                                        direct):
+        rng = np.random.default_rng(14)
+        filters = rng.normal(size=(3, length))
+        x = rng.normal(size=(2, length, 4))
+        mixing = rng.normal(size=(3, 5, 4))
+        weights = rng.normal(size=(2, length, 3))
+        grad = rng.normal(size=(2, length, 5))
+
+        def run():
+            dmixing = np.empty_like(mixing)
+            return (fft_causal_conv_bank(filters, x, mixing, weights),
+                    *fft_causal_conv_bank_adjoint(filters, x, mixing, grad, weights,
+                                                  dmixing=dmixing), dmixing)
+
+        ran = []
+        for name in ("_direct_channels", "_fft_channels"):
+            def spy(*args, _name=name, _kernel=getattr(linalg, name)):
+                ran.append(_name)
+                return _kernel(*args)
+            monkeypatch.setattr(linalg, name, spy)
+        chosen = run()
+        assert ran == 2 * ["_direct_channels" if direct else "_fft_channels"]
+        # the other path, by moving the rule across this length
+        monkeypatch.setattr(linalg, "DIRECT_MAX_LEN", length - 1 if direct else length)
+        ran.clear()
+        other = run()
+        assert ran == 2 * ["_fft_channels" if direct else "_direct_channels"]
+        for a, b in zip(chosen, other):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12 * np.max(np.abs(b)))
 
 
 class TestNextPow2:

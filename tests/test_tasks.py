@@ -434,19 +434,25 @@ class TestEvaluateModel:
             assert pieces["loss"] == pytest.approx(whole["loss"], rel=1e-12)
             assert pieces["accuracy"] == whole["accuracy"]
 
-    @pytest.mark.parametrize("overrides", [{}, {"gate_enabled": False},
-                                           {"precision": "float32"}])
+    @pytest.mark.parametrize("overrides", [
+        {}, {"gate_enabled": False}, {"precision": "float32"},
+        dict(seq_len=32, width=16, gate_hidden=16, capacity=8, depth=1,
+             budget_set=(2, 8)),  # copy-small's geometry
+    ])
     def test_batch_rule_tracks_the_traced_forward_peak(self, overrides):
-        # desk geometry, depth 2: at the smallest and the largest budget, what
-        # model_forward holds per sequence is within 20% of the rule
-        config = ModelConfig(seq_len=256, width=64, gate_hidden=32, capacity=32,
-                             depth=2, input_kind="real", in_dim=1, out_dim=1,
-                             budget_set=(2, 32), **overrides)
-        basis = build_basis(256, 32)
+        # desk geometry, depth 2, unless overridden: at the smallest and the
+        # largest budget, what model_forward holds per sequence is within 20%
+        # of the rule
+        desk = dict(seq_len=256, width=64, gate_hidden=32, capacity=32, depth=2,
+                    budget_set=(2, 32))
+        config = ModelConfig(input_kind="real", in_dim=1, out_dim=1,
+                             **(desk | overrides))
+        basis = build_basis(config.seq_len, config.capacity)
         params = init_model_params(config)
-        inputs = np.random.default_rng(0).normal(size=(2, 256, 1)).astype(config.precision)
+        inputs = np.random.default_rng(0).normal(
+            size=(2, config.seq_len, 1)).astype(config.precision)
         rule = tasks.forward_bytes_per_sequence(config)
-        for budget in (2, 32):
+        for budget in config.budget_set:
             tracemalloc.start()
             try:
                 model_forward(inputs, params, config, basis, budget)
