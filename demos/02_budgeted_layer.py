@@ -45,9 +45,10 @@ def main():
           "is simply lost)")
     print(f"  output difference: {np.linalg.norm(masked - direct):.4f}")
 
-    print("\ngate off -> every active channel gets unit weight:")
-    _, cache = layer_forward(u, layer, basis, 4, gate_enabled=False)
-    print(f"  weights are all ones: {bool(np.all(cache.weights == 1.0))}")
+    print("\ngate off -> every active channel gets unit weight, so none are stored:")
+    off, cache = layer_forward(u, layer, basis, 4, gate_enabled=False)
+    print(f"  cached weights: {cache.weights}")
+    print(f"  output difference from the gated layer: {np.linalg.norm(off - masked):.4f}")
 
 
 if __name__ == "__main__":

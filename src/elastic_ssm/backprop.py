@@ -86,10 +86,9 @@ def softmax_cross_entropy(logits, targets, mask=None):
     shifted = logits - peak
     logz = np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
     logp = shifted - logz
-    probs = np.exp(logp)
     nll = -np.take_along_axis(logp, targets[..., None], axis=-1)[..., 0]
 
-    onehot_grad = probs.copy()
+    onehot_grad = np.exp(logp)  # the probabilities, less one at each target below
     np.put_along_axis(
         onehot_grad,
         targets[..., None],
@@ -227,7 +226,7 @@ def layer_backward(
     _weight_grad(dout, cache.u, out=g.skip)
     dspectral, dweights = fft_causal_conv_bank_adjoint(
         cache.basis.scaled_filters[:budget], cache.u, p.mixing[:budget], dout,
-        cache.weights if cache.gate_enabled else None, dmixing=g.mixing[:budget],
+        cache.weights, dmixing=g.mixing[:budget],
     )
     du = dout @ p.skip + dspectral
 
@@ -238,14 +237,12 @@ def layer_backward(
         dsoft[..., :budget] = dweights
         dscaled = _softmax_vjp(cache.weights_full[..., :active], dsoft)
         dactive = _rms_rescale_vjp(cache.logits[..., :active], p.gate.eps, dscaled)
-        # scatter into the full-capacity logit gradient; rows >= active stay 0.0
-        dlogits = np.zeros_like(cache.logits)
-        dlogits[..., :active] = dactive
+        # gate rows >= active read no gradient, so theirs stays 0.0
         hidden = gelu(cache.pre, cache.gelu_erf)
         _weight_grad(dactive, hidden, out=g.gate.w_out[:active])
         g.gate.b_out[:active] = dactive.sum(axis=(0, 1))
 
-        dhidden = dlogits @ p.gate.w_out
+        dhidden = dactive @ p.gate.w_out[:active]
         dpre = dhidden * gelu_grad(cache.pre, cache.gelu_erf)
         _weight_grad(dpre, cache.u, out=g.gate.w_in)
         g.gate.b_in[...] = dpre.sum(axis=(0, 1))

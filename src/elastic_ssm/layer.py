@@ -229,7 +229,9 @@ def layer_flop_count(
 class LayerCache:
     """Forward activations for the backward pass, each (B, L, ...); the
     backward recomputes the spectral channels from ``u``, one at a time, and
-    the gate's hidden layer from ``pre`` and ``gelu_erf``."""
+    the gate's hidden layer from ``pre`` and ``gelu_erf``.  With the gate
+    disabled every gate array is ``None``: each active channel has unit
+    weight, and nothing holds those ones."""
 
     u: np.ndarray  # (B, L, d) layer input
     budget: int
@@ -238,7 +240,7 @@ class LayerCache:
     pre: Optional[np.ndarray]  # (B, L, d_g) gate pre-activations
     gelu_erf: Optional[np.ndarray]  # (B, L, d_g) erf(pre / sqrt 2), the GELU's erf term
     logits: Optional[np.ndarray]  # (B, L, capacity) gate logits
-    weights: np.ndarray  # (B, L, K) active mixture weights
+    weights: Optional[np.ndarray]  # (B, L, K) active mixture weights
     weights_full: Optional[np.ndarray]  # (B, L, capacity) gate output, zero past K when masked
     params: LayerParams = field(repr=False)
     basis: SpectralBasis = field(repr=False)
@@ -277,19 +279,16 @@ def layer_forward(
         raise StructuralError(f"unknown truncation mode {truncation!r}")
     (budget,) = check_budgets((budget,), p.capacity)
 
-    pre = gelu_erf = logits = weights_full = None
+    # gate off: every weight is 1, left as None so the bank skips the weighting pass
+    pre = gelu_erf = logits = weights_full = weights = None
     if gate_enabled:
         pre, gelu_erf, logits = _gate_mlp(u, p.gate)  # logits: (B, L, capacity)
         active = live_logits(truncation, budget, p.capacity)
         scaled = rms_rescale(logits, active, p.gate.eps)
         weights_full = masked_softmax(scaled, active, p.capacity)
         weights = weights_full[..., :budget]  # (B, L, K)
-    else:
-        weights = np.ones(u.shape[:2] + (budget,), dtype=u.dtype)
 
-    # gate off: every weight is 1, so the bank skips the weighting pass
-    out = fft_causal_conv_bank(basis.scaled_filters[:budget], u, p.mixing[:budget],
-                               weights if gate_enabled else None)
+    out = fft_causal_conv_bank(basis.scaled_filters[:budget], u, p.mixing[:budget], weights)
     out += u @ p.skip.T
 
     cache = LayerCache(

@@ -340,7 +340,8 @@ def model_forward(
         )
         norm_caches.append(ncache)
         layer_caches.append(lcache)
-        x = x + y
+        x = x + y  # not in place: an RMSNorm cache holds x
+        del y  # so neither the next block nor the final norm holds it
 
     features, final_cache = norm_forward(
         config.norm_kind, x, params.final_gain, params.final_bias

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -50,11 +50,10 @@ class SyntheticLDS:
     output(t) = output_map @ state(t) + feedthrough @ u(t)
     """
 
-    transition: np.ndarray  # (state_dim, state_dim), spectral radius <= rho_max
+    transition: np.ndarray  # (state_dim, state_dim), spectral radius < 1
     input_map: np.ndarray  # (state_dim, data_dim)
     output_map: np.ndarray  # (data_dim, state_dim)
     feedthrough: np.ndarray  # (data_dim, data_dim)
-    rho_max: float
 
     def kernel(self, length: int) -> np.ndarray:
         """Impulse response G with G[tau] = output_map @ transition^tau @ input_map."""
@@ -68,7 +67,8 @@ class SyntheticLDS:
 
 @dataclass
 class Dataset:
-    """Supervised sequences plus the metadata evaluation needs."""
+    """Supervised train and eval sequences, with the loss and metric that
+    score them."""
 
     kind: str
     inputs: np.ndarray
@@ -80,7 +80,6 @@ class Dataset:
     loss: str  # "cross-entropy" | "mse"
     metric_name: str  # "mse" | "accuracy" | "bpb"
     higher_better: bool
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.kind not in TASK_KINDS:
@@ -152,7 +151,6 @@ def gen_lds_teacher(
         input_map=rng.normal(size=(state_dim, data_dim)) / math.sqrt(data_dim),
         output_map=rng.normal(size=(data_dim, state_dim)) / math.sqrt(state_dim),
         feedthrough=rng.normal(size=(data_dim, data_dim)) / math.sqrt(data_dim),
-        rho_max=rho_max,
     )
     n_eval = max(SYNTH_EVAL_DIVISOR, n_samples // SYNTH_EVAL_DIVISOR)
     inputs = rng.normal(size=(n_samples, seq_len, data_dim))
@@ -168,18 +166,6 @@ def gen_lds_teacher(
         loss="mse",
         metric_name="mse",
         higher_better=False,
-        meta={
-            "seed": seed,
-            "state_dim": state_dim,
-            "data_dim": data_dim,
-            "rho_max": rho_max,
-            "teacher": {
-                "transition": teacher.transition.tolist(),
-                "input_map": teacher.input_map.tolist(),
-                "output_map": teacher.output_map.tolist(),
-                "feedthrough": teacher.feedthrough.tolist(),
-            },
-        },
     )
     return teacher, dataset
 
@@ -231,8 +217,6 @@ def gen_copy_task(seed: int, seq_len: int, n_symbols: int, delay: int,
         loss="cross-entropy",
         metric_name="accuracy",
         higher_better=True,
-        meta={"seed": seed, "n_symbols": n_symbols, "delay": delay,
-              "vocab_size": n_symbols + 1},
     )
 
 
@@ -286,8 +270,6 @@ def gen_byte_lm(corpus_path: str | os.PathLike, seq_len: int,
         loss="cross-entropy",
         metric_name="bpb",
         higher_better=False,
-        meta={"corpus": os.fspath(corpus_path), "corpus_bytes": len(data),
-              "vocab_size": 256},
     )
 
 
@@ -356,15 +338,16 @@ def build_dataset(task: TaskSpec, model: ModelConfig) -> Dataset:
 def forward_bytes_per_sequence(config: ModelConfig) -> int:
     """Bytes ``model_forward`` holds per sequence at its peak, at the
     precision's bytes a value: every layer's norm and layer caches (input,
-    scale, gate activations and weights), plus one layer's working set
-    (the convolution's buffers on the bank's path, accumulators, output).
+    scale, gate activations and weights, which a disabled gate does not
+    store), plus one layer's working set (the convolution's buffers on the
+    bank's path, accumulators, output).
 
     The direct path's ``(L, L)`` Toeplitz matrix serves the whole batch, so
     each sequence is charged half of it: an upper bound for every batch of
     two or more, and at most ``L * L / 2`` values short for a lone sequence.
     """
     length, width = config.seq_len, config.width
-    gate = 2 * (config.gate_hidden + config.capacity) if config.gate_enabled else config.capacity
+    gate = 2 * (config.gate_hidden + config.capacity) if config.gate_enabled else 0
     kept = length * (2 * width + 1 + gate)
     if convolves_directly(length):  # one (L, d) channel, half the (L, L) Toeplitz matrix
         spectral = length * (width + length // 2)

@@ -19,7 +19,10 @@ from elastic_ssm.config import (
     check_budgets,
 )
 from elastic_ssm.errors import BudgetError, ConfigError
+from elastic_ssm.layer import LayerCache
+from elastic_ssm.model import ModelCache
 from elastic_ssm.storage import canonical_json
+from elastic_ssm.tasks import Dataset, SyntheticLDS
 
 
 class TestCheckBudgets:
@@ -227,12 +230,17 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "elastic_ssm"
 
 def test_every_config_field_is_read_outside_config_py():
     """A field that config.py validates but no other module reads is a knob
-    that does nothing."""
+    that does nothing, and a dataset, teacher or cache field that no module
+    reads is data kept for nobody.  Fields are matched by name against every
+    attribute read, whatever its object, so a field passes when a namesake
+    on another class is read: ``SyntheticLDS.rho_max`` would pass because
+    ``TaskSpec.rho_max`` is read."""
     read = set()
     for path in SRC.glob("*.py"):
         if path.name != "config.py":
             read |= {node.attr for node in ast.walk(ast.parse(path.read_text()))
                      if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
-    for cls in (ModelConfig, TrainConfig, TaskSpec, Paths):
+    for cls in (ModelConfig, TrainConfig, TaskSpec, Paths,
+                Dataset, SyntheticLDS, LayerCache, ModelCache):
         unread = [f.name for f in dataclasses.fields(cls) if f.name not in read]
         assert not unread, f"{cls.__name__} fields never read: {unread}"

@@ -2,6 +2,8 @@
 
 import hashlib
 import inspect
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -229,6 +231,49 @@ class TestModelForward:
         x = p.embed_table[tokens]
         normed, _ = layer_norm_forward(x, p.final_gain, p.final_bias)
         np.testing.assert_allclose(out, normed @ p.readout_w.T + p.readout_b, rtol=1e-12)
+
+    def test_no_block_output_outlives_its_residual_add(self, basis16, monkeypatch):
+        # the residual stream keeps x + y, not y: no earlier block's output is
+        # alive while the next block's norm and layer or the final norm run
+        outputs = []
+
+        def checked(fn, record):
+            def call(*args, **kwargs):
+                assert all(ref() is None for ref in outputs), fn.__name__
+                result = fn(*args, **kwargs)
+                if record:
+                    outputs.append(weakref.ref(result[0]))
+                return result
+            return call
+
+        monkeypatch.setattr(model, "layer_forward", checked(model.layer_forward, True))
+        monkeypatch.setattr(model, "norm_forward", checked(model.norm_forward, False))
+        cfg = small_config(depth=3)
+        tokens = np.arange(32).reshape(2, 16) % 11
+        model_forward(tokens, init_model_params(cfg), cfg, basis16, budget=3)
+        assert len(outputs) == 3
+
+    @pytest.mark.parametrize("gate_enabled", [True, False])
+    def test_forward_peak_is_flat_in_the_budget(self, gate_enabled):
+        # desk geometry, depth 2, B=8: nothing the forward holds is sized by
+        # K, gate weights included (a disabled gate stores none); the slack
+        # is the adjoint-peak tests' allowance for numpy's ufunc buffers
+        cfg = ModelConfig(seq_len=256, width=64, gate_hidden=32, capacity=32, depth=2,
+                          input_kind="real", in_dim=1, out_dim=1, budget_set=(2, 32),
+                          gate_enabled=gate_enabled)
+        basis = build_basis(cfg.seq_len, cfg.capacity)
+        params = init_model_params(cfg)
+        inputs = np.random.default_rng(0).normal(size=(8, cfg.seq_len, 1))
+
+        def peak(budget):
+            tracemalloc.start()
+            try:
+                model_forward(inputs, params, cfg, basis, budget)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert abs(peak(32) - peak(2)) <= 4 * 16 * np.getbufsize()
 
 
 class TestOneLayout:

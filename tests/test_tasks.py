@@ -34,13 +34,12 @@ from oracles import recurrent_lds_unroll
 # ---------------------------------------------------------------------------
 
 
-def tiny_teacher(transition, input_map, output_map, feedthrough, rho_max=0.95):
+def tiny_teacher(transition, input_map, output_map, feedthrough):
     return SyntheticLDS(
         transition=np.asarray(transition, dtype=np.float64),
         input_map=np.asarray(input_map, dtype=np.float64),
         output_map=np.asarray(output_map, dtype=np.float64),
         feedthrough=np.asarray(feedthrough, dtype=np.float64),
-        rho_max=rho_max,
     )
 
 
@@ -154,7 +153,6 @@ class TestCopyTask:
         np.testing.assert_array_equal(ds.mask[:, 4:], True)
         assert ds.loss == "cross-entropy" and ds.metric_name == "accuracy"
         assert ds.higher_better is True
-        assert ds.meta["vocab_size"] == 9
 
     def test_delay_zero_is_identity(self):
         ds = gen_copy_task(seed=1, seq_len=10, n_symbols=5, delay=0, n_samples=8)
@@ -227,7 +225,6 @@ class TestByteLM:
         path = tmp_path / "all.bin"
         path.write_bytes(bytes(range(256)) * 20)
         ds = gen_byte_lm(path, seq_len=64, n_samples=100)
-        assert ds.meta["vocab_size"] == 256
         assert ds.inputs.min() >= 0 and ds.inputs.max() <= 255
         # this corpus cycles through every byte value, and no value may be
         # remapped or dropped on the way into the dataset
