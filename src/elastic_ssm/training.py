@@ -378,17 +378,18 @@ def run_training(
     checkpoint_path: str | os.PathLike | None = None,
     stop_after: Optional[int] = None,
 ) -> dict:
-    """Train per the run document; return a summary dict.
+    """Train per the run document; return a summary dict with the keys
+    "params", "basis", "dataset", "final_eval", "log", "steps_applied",
+    "steps_skipped", "completed_steps" and "finished".
 
-    Writes (when paths are given) a JSONL training log with one record per
-    eval cadence — {"step", "loss", "budget_histogram", "grad_norm", "lr",
-    "eval"} — and a combined model+optimizer checkpoint.  ``resume`` picks
-    up from such a checkpoint and reproduces the uninterrupted trajectory
-    bit for bit, appending to the log; a fresh run starts the log empty.
-    ``stop_after`` pauses the run once that many total steps are complete
-    (checkpointing first), for interruptible jobs.  Aborts with
-    NumericError if more than ``train.max_skip_frac`` of all steps were
-    skipped for non-finite losses/gradients.
+    Writes (when paths are given) a JSONL log with one record per eval
+    cadence and a model+optimizer checkpoint, the only place the AdamW
+    moments outlive the call (``load_training_checkpoint`` reads them).
+    ``resume`` picks up from such a checkpoint and reproduces the
+    uninterrupted trajectory bit for bit, appending to the log; a fresh run
+    starts the log empty.  ``stop_after`` pauses the run once that many total
+    steps are complete (checkpointing first).  Aborts with NumericError if
+    more than ``train.max_skip_frac`` of all steps were skipped.
     """
     model_cfg, train_cfg = run.model, run.train
     basis, _ = get_or_build_basis(
@@ -508,7 +509,6 @@ def run_training(
         )
     return {
         "params": params,
-        "state": state,
         "basis": basis,
         "dataset": dataset,
         "final_eval": final_eval,

@@ -23,6 +23,7 @@ from elastic_ssm.layer import LayerCache
 from elastic_ssm.model import ModelCache
 from elastic_ssm.storage import canonical_json
 from elastic_ssm.tasks import Dataset, SyntheticLDS
+from elastic_ssm.training import run_training
 
 
 class TestCheckBudgets:
@@ -225,7 +226,8 @@ class TestRunConfig:
         assert run.model.capacity == 32
 
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "elastic_ssm"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "elastic_ssm"
 
 
 def test_every_config_field_is_read_outside_config_py():
@@ -244,3 +246,26 @@ def test_every_config_field_is_read_outside_config_py():
                 Dataset, SyntheticLDS, LayerCache, ModelCache):
         unread = [f.name for f in dataclasses.fields(cls) if f.name not in read]
         assert not unread, f"{cls.__name__} fields never read: {unread}"
+
+
+def test_every_run_training_key_is_read_outside_tests():
+    """A key of run_training's summary that no module reads only keeps its
+    value alive for nobody.  A key counts as read when some module under
+    src/, demos/ or perfbench/ (tests aside) subscripts with it as a string
+    constant, whatever the subscripted object."""
+    read = set()
+    for top in ("src", "demos", "perfbench"):
+        for path in (ROOT / top).rglob("*.py"):
+            if "tests" not in path.relative_to(ROOT).parts:
+                read |= {node.slice.value for node in ast.walk(ast.parse(path.read_text()))
+                         if isinstance(node, ast.Subscript)
+                         and isinstance(node.slice, ast.Constant)
+                         and isinstance(node.slice.value, str)}
+    run = RunConfig(
+        model=ModelConfig(seq_len=8, width=4, gate_hidden=4, capacity=2, depth=1,
+                          input_kind="tokens", vocab_size=4, out_dim=4, budget_set=(2,)),
+        train=TrainConfig(steps=1, batch_size=2, eval_every=1),
+        task=TaskSpec(kind="copy", n_symbols=3, delay=1, n_samples=8),
+    )
+    unread = sorted(set(run_training(run)) - read)
+    assert not unread, f"run_training keys no module reads: {unread}"

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import shutil
+import weakref
 
 import numpy as np
 import pytest
@@ -632,26 +633,40 @@ def count_evals(monkeypatch) -> list:
     return calls
 
 
-def assert_resume_reproduces(run, tmp_path):
+def spy_saved_states(monkeypatch) -> list:
+    """Record the live OptimizerState each save_training_checkpoint call
+    receives; the last entry is the state the latest run ended with."""
+    states = []
+
+    def spied(path, params, config, state):
+        save_training_checkpoint(path, params, config, state)
+        states.append(state)
+
+    monkeypatch.setattr(training_module, "save_training_checkpoint", spied)
+    return states
+
+
+def assert_resume_reproduces(run, tmp_path, monkeypatch):
     """Pause a run halfway, resume it from its checkpoint, and check the
     parameters and moments match an uninterrupted run bit for bit; returns
-    both optimizer states."""
-    straight = run_training(run)
+    both live optimizer states as their final saves received them."""
+    saved = spy_saved_states(monkeypatch)
+    straight = run_training(run, checkpoint_path=tmp_path / "straight.essm")
+    straight_state = saved[-1]
 
     ck = tmp_path / "ck.essm"
     paused = run_training(run, checkpoint_path=ck, stop_after=30)
     assert paused["finished"] is False
     assert paused["completed_steps"] == 30
     resumed = run_training(run, resume=ck, checkpoint_path=ck)
+    resumed_state = saved[-1]
     assert resumed["finished"] is True
     assert params_fingerprint(resumed["params"], run.model) == \
         params_fingerprint(straight["params"], run.model)
-    for name in resumed["state"].m:
-        np.testing.assert_array_equal(resumed["state"].m[name],
-                                      straight["state"].m[name])
-        np.testing.assert_array_equal(resumed["state"].v[name],
-                                      straight["state"].v[name])
-    return straight["state"], resumed["state"]
+    for name in resumed_state.m:
+        np.testing.assert_array_equal(resumed_state.m[name], straight_state.m[name])
+        np.testing.assert_array_equal(resumed_state.v[name], straight_state.v[name])
+    return straight_state, resumed_state
 
 
 class TestRunTraining:
@@ -671,28 +686,31 @@ class TestRunTraining:
         assert final < first * 0.7
         assert result["final_eval"]["accuracy"] > 0.3  # well above 1/5 chance
 
-    def test_resume_reproduces_uninterrupted_trajectory(self, tmp_path):
-        assert_resume_reproduces(copy_run(steps=60), tmp_path)
+    def test_resume_reproduces_uninterrupted_trajectory(self, tmp_path, monkeypatch):
+        assert_resume_reproduces(copy_run(steps=60), tmp_path, monkeypatch)
 
-    def test_float32_run_resumes_bit_exact_with_float32_moments(self, tmp_path):
+    def test_float32_run_resumes_bit_exact_with_float32_moments(self, tmp_path, monkeypatch):
         run = copy_run(steps=60)
         run = dataclasses.replace(run, model=dataclasses.replace(run.model,
                                                                  precision="float32"))
-        for state in assert_resume_reproduces(run, tmp_path):
+        for state in assert_resume_reproduces(run, tmp_path, monkeypatch):
             for moments in (state.m, state.v):
                 assert {a.dtype for a in moments.values()} == {np.dtype(np.float32)}
 
     def test_cadence_checkpoint_written_once_and_resumable(self, tmp_path, monkeypatch):
         run = copy_run(steps=10, eval_every=5, checkpoint_every=5)
-        straight = run_training(run)
-        writes = []
+        writes, states = [], []
 
         def counted(path, params, config, state):
             save_training_checkpoint(path, params, config, state)
             writes.append(state.completed)
+            states.append(state)
             shutil.copyfile(path, tmp_path / f"at{state.completed}.essm")
 
         monkeypatch.setattr(training_module, "save_training_checkpoint", counted)
+        straight = run_training(run, checkpoint_path=tmp_path / "straight.essm")
+        straight_state = states[-1]
+        writes.clear()
         ck = tmp_path / "ck.essm"
         run_training(run, checkpoint_path=ck)
         assert writes == [5, 10]  # the last cadence save is the final state
@@ -700,15 +718,29 @@ class TestRunTraining:
         run_training(run, checkpoint_path=ck, stop_after=5)
         assert writes == [5]
 
-        resumed = run_training(run, resume=tmp_path / "at5.essm")
+        resumed = run_training(run, resume=tmp_path / "at5.essm",
+                               checkpoint_path=tmp_path / "resumed.essm")
+        resumed_state = states[-1]
         assert resumed["completed_steps"] == 10
         assert params_fingerprint(resumed["params"], run.model) == \
             params_fingerprint(straight["params"], run.model)
-        for name in resumed["state"].m:
-            np.testing.assert_array_equal(resumed["state"].m[name],
-                                          straight["state"].m[name])
-            np.testing.assert_array_equal(resumed["state"].v[name],
-                                          straight["state"].v[name])
+        for name in resumed_state.m:
+            np.testing.assert_array_equal(resumed_state.m[name], straight_state.m[name])
+            np.testing.assert_array_equal(resumed_state.v[name], straight_state.v[name])
+
+    def test_optimizer_state_freed_when_run_training_returns(self, tmp_path, monkeypatch):
+        """The summary holds no optimizer state: once run_training returns,
+        the moments live on only in the checkpoint it wrote."""
+        refs = []
+
+        def spied(path, params, config, state):
+            save_training_checkpoint(path, params, config, state)
+            refs.append(weakref.ref(state))
+
+        monkeypatch.setattr(training_module, "save_training_checkpoint", spied)
+        result = run_training(copy_run(steps=10), checkpoint_path=tmp_path / "ck.essm")
+        assert result["finished"] is True
+        assert refs and all(ref() is None for ref in refs)
 
     def test_resume_config_mismatch_rejected(self, tmp_path):
         run = copy_run(steps=20)
